@@ -48,12 +48,13 @@ PathSet Select(const PropertyGraph& g, const PathSet& s,
   return out;
 }
 
-PathSet Join(const PathSet& s1, const PathSet& s2,
-             const ParallelOptions& parallel,
-             ParallelStats* parallel_stats) {
-  // CSR-style dense index of the right side by First(p2): node ids are
-  // dense, so the per-p1 probe is an array index, not a hash lookup.
-  PathFirstIndex by_first(s2);
+namespace {
+
+/// The probe loop shared by both joins: `extend(p1, emit)` calls
+/// `emit(p1 ◦ p2)` for every right-side match of p1, in right-side order.
+template <typename Extend>
+PathSet ProbeJoin(const PathSet& s1, const ParallelOptions& parallel,
+                  ParallelStats* parallel_stats, const Extend& extend) {
   const std::vector<Path>& probe = s1.paths();
   if (!parallel.ShouldParallelize(probe.size())) {
     if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
@@ -61,9 +62,7 @@ PathSet Join(const PathSet& s1, const PathSet& s2,
     }
     PathSet out;
     for (const Path& p1 : probe) {
-      for (const Path* p2 : by_first.ForFirst(p1.Last())) {
-        out.Insert(Path::ConcatUnchecked(p1, *p2));
-      }
+      extend(p1, [&](Path q) { out.Insert(std::move(q)); });
     }
     return out;
   }
@@ -81,12 +80,10 @@ PathSet Join(const PathSet& s1, const PathSet& s2,
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<std::pair<Path, size_t>>& mine = produced[chunk];
         for (size_t i = begin; i < end; ++i) {
-          const Path& p1 = probe[i];
-          for (const Path* p2 : by_first.ForFirst(p1.Last())) {
-            Path q = Path::ConcatUnchecked(p1, *p2);
+          extend(probe[i], [&](Path q) {
             const size_t h = q.Hash();
             mine.emplace_back(std::move(q), h);
-          }
+          });
         }
       });
   PathSet out;
@@ -94,6 +91,36 @@ PathSet Join(const PathSet& s1, const PathSet& s2,
     for (auto& [p, h] : chunk) out.InsertHashed(std::move(p), h);
   }
   return out;
+}
+
+}  // namespace
+
+PathSet Join(const PathSet& s1, const PathSet& s2,
+             const ParallelOptions& parallel,
+             ParallelStats* parallel_stats) {
+  // CSR-style dense index of the right side by First(p2): node ids are
+  // dense, so the per-p1 probe is an array index, not a hash lookup.
+  PathFirstIndex by_first(s2);
+  return ProbeJoin(s1, parallel, parallel_stats,
+                   [&](const Path& p1, const auto& emit) {
+                     for (const Path* p2 : by_first.ForFirst(p1.Last())) {
+                       emit(Path::ConcatUnchecked(p1, *p2));
+                     }
+                   });
+}
+
+PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
+                     LabelId label, const ParallelOptions& parallel,
+                     ParallelStats* parallel_stats) {
+  // The label CSR run of Last(p1) is the bucket PathFirstIndex would hold
+  // for Last(p1) over EdgesWithLabelOf(g, label): both list the node's
+  // L-edges in edge-id order.
+  return ProbeJoin(s1, parallel, parallel_stats,
+                   [&](const Path& p1, const auto& emit) {
+                     for (EdgeId e : g.OutEdgesWithLabel(p1.Last(), label)) {
+                       emit(Path::ConcatUnchecked(p1, Path::EdgeOf(g, e)));
+                     }
+                   });
 }
 
 // ∪/∩/∖ move whole sets around without changing any path, so every hash

@@ -37,6 +37,14 @@ PathSet Join(const PathSet& s1, const PathSet& s2,
              const ParallelOptions& parallel = {},
              ParallelStats* parallel_stats = nullptr);
 
+/// S ⋈ σ_{label(edge(1))=L}(Edges(G)) without materializing the right
+/// side: each p1 ∈ S, in order, is extended by the L-labelled out-edges of
+/// Last(p1) in edge-id order. Byte-identical (same paths, same order) to
+/// Join(S, EdgesWithLabelOf(g, label)); kNoLabel matches nothing.
+PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
+                     LabelId label, const ParallelOptions& parallel = {},
+                     ParallelStats* parallel_stats = nullptr);
+
 /// S ∪ S' with set semantics (duplicates eliminated).
 PathSet Union(const PathSet& s1, const PathSet& s2);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <variant>
+#include <vector>
 
 #include "algebra/core_ops.h"
 #include "algebra/eval_budget.h"
@@ -58,24 +59,122 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
                           std::vector<EvalValue>& inputs,
                           const EvalOptions& options);
 
+/// True for the atom label(edge(1)) = "L".
+bool IsEdgeLabelAtom(const Condition& c) {
+  return c.kind() == Condition::Kind::kSimple &&
+         c.access() == AccessKind::kEdgeLabel && c.position() == 1 &&
+         c.op() == CompareOp::kEq && c.constant().is_string();
+}
+
+/// True for σ_c(Edges(G)), whatever c is.
+bool IsSelectOverEdgesScan(const PlanNode& node) {
+  return node.kind() == PlanKind::kSelect && node.children().size() == 1 &&
+         node.child()->kind() == PlanKind::kEdgesScan &&
+         node.condition() != nullptr;
+}
+
 /// Matches σ_{label(edge(1))="L"}(Edges(G)) — the shape every compiled
-/// regex label atom takes. Such subtrees are answered directly from the
-/// graph's label CSR slice: same result as scan-then-filter (a missing
-/// label matches nothing either way), but only |edges with L| paths are
-/// ever materialized. Returns the matched condition, or nullptr.
+/// regex label atom takes. Returns the matched condition, or nullptr.
 const Condition* MatchEdgeLabelScan(const PlanNode& node) {
-  if (node.kind() != PlanKind::kSelect) return nullptr;
-  if (node.children().size() != 1 ||
-      node.child()->kind() != PlanKind::kEdgesScan) {
-    return nullptr;
-  }
+  if (!IsSelectOverEdgesScan(node)) return nullptr;
   const Condition* c = node.condition().get();
-  if (c == nullptr || c->kind() != Condition::Kind::kSimple) return nullptr;
-  if (c->access() != AccessKind::kEdgeLabel || c->position() != 1) {
+  return IsEdgeLabelAtom(*c) ? c : nullptr;
+}
+
+/// The index-seek access path for σ_c(Edges(G)): the top-level conjuncts
+/// of c that bind an edge's label (label(edge(1)) = "L") or its source
+/// node (RefersOnlyToFirstNode), which together narrow the candidates to
+/// an adjacency slice instead of every edge.
+struct EdgeSeek {
+  const Condition* label = nullptr;
+  std::vector<const Condition*> first_node;
+};
+
+void CollectConjuncts(const Condition& c, EdgeSeek* seek) {
+  if (c.kind() == Condition::Kind::kAnd) {
+    CollectConjuncts(*c.left(), seek);
+    CollectConjuncts(*c.right(), seek);
+  } else if (seek->label == nullptr && IsEdgeLabelAtom(c)) {
+    seek->label = &c;
+  } else if (RefersOnlyToFirstNode(c)) {
+    seek->first_node.push_back(&c);
+  }
+}
+
+/// Returns true and fills `seek` when `node` is a σ over the edge scan
+/// whose condition has at least one seekable conjunct.
+bool MatchEdgeSeek(const PlanNode& node, EdgeSeek* seek) {
+  if (!IsSelectOverEdgesScan(node)) return false;
+  CollectConjuncts(*node.condition(), seek);
+  return seek->label != nullptr || !seek->first_node.empty();
+}
+
+/// Answers σ_c(Edges(G)) through `seek`. Candidates come from the CSR —
+/// per passing source node when a first-node conjunct exists, else
+/// the whole label slice — and are emitted in ascending edge id, the
+/// EdgesOf order σ would preserve. Every candidate is then checked against
+/// the *full* c, so OR/NOT and missing-data semantics are exactly the
+/// generic σ's; the seek only skips edges some top-level conjunct rejects.
+PathSet SeekEdges(const PropertyGraph& g, const Condition& c,
+                  const EdgeSeek& seek) {
+  const LabelId label =
+      seek.label == nullptr ? kNoLabel
+                            : g.FindLabel(seek.label->constant().AsString());
+  std::vector<EdgeId> candidates;
+  if (seek.first_node.empty()) {
+    const NeighborRange slice = g.EdgesWithLabel(label);  // edge-id order
+    candidates.assign(slice.begin(), slice.end());
+  } else {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      const NeighborRange run = seek.label == nullptr
+                                    ? g.OutEdges(n)
+                                    : g.OutEdgesWithLabel(n, label);
+      if (run.empty()) continue;
+      // A first-node conjunct reads the same object on the zero-length
+      // path (n) as on any edge leaving n.
+      const Path at = Path::SingleNode(n);
+      auto passes = [&](const Condition* f) { return f->Evaluate(g, at); };
+      if (!std::all_of(seek.first_node.begin(), seek.first_node.end(),
+                       passes)) {
+        continue;
+      }
+      candidates.insert(candidates.end(), run.begin(), run.end());
+    }
+    // OutEdges runs are (label, id)-sorted; each edge has one source, so
+    // the candidates are distinct.
+    std::sort(candidates.begin(), candidates.end());
+  }
+  PathSet out;
+  for (EdgeId e : candidates) {
+    Path p = Path::EdgeOf(g, e);
+    if (c.Evaluate(g, p)) out.Insert(std::move(p));
+  }
+  return out;
+}
+
+/// Books a σ-over-scan subtree answered without running the scan: both
+/// collapsed operators count in op_count, so it matches the generic path.
+/// The σ itself is booked by the caller (RecordOp) when `book_select` is
+/// false, i.e. when it produced the output.
+void BookCollapsedScan(EvalStats* stats, bool book_select) {
+  if (stats == nullptr) return;
+  stats->op_count[static_cast<size_t>(PlanKind::kEdgesScan)] += 1;
+  stats->nodes_evaluated += 1;
+  stats->label_scan_hits += 1;
+  if (book_select) {
+    stats->op_count[static_cast<size_t>(PlanKind::kSelect)] += 1;
+    stats->nodes_evaluated += 1;
+  }
+}
+
+/// Matches ⋈(X, σ_{label(edge(1))="L"}(Edges(G))), answered by probing
+/// X's end nodes in the label CSR (JoinOutEdges) — the right side is never
+/// evaluated. Returns the label atom, or nullptr.
+const Condition* MatchProbeJoin(const PlanNode& node) {
+  if (node.kind() != PlanKind::kJoin || node.children().size() != 2) {
     return nullptr;
   }
-  if (c->op() != CompareOp::kEq || !c->constant().is_string()) return nullptr;
-  return c;
+  return MatchEdgeLabelScan(*node.children()[1]);
 }
 
 /// Inverts the compile.cc regex→plan mapping for the closure-free shapes
@@ -121,18 +220,11 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
   if (CancelRequested(options.limits.cancel)) {
     return EvalCancelled(*options.limits.cancel);
   }
-  if (const Condition* c = MatchEdgeLabelScan(node)) {
+  if (EdgeSeek seek; MatchEdgeSeek(node, &seek)) {
     const SteadyClock::time_point own_start = SteadyClock::now();
-    EvalValue out(
-        EdgesWithLabelOf(g, g.FindLabel(c->constant().AsString())));
-    if (options.stats != nullptr) {
-      // Book both collapsed operators so op_count matches the slow path;
-      // the scan's time is attributed to the Select.
-      options.stats->op_count[static_cast<size_t>(PlanKind::kEdgesScan)] += 1;
-      options.stats->nodes_evaluated += 1;
-      options.stats->label_scan_hits += 1;
-    }
-    RecordOp(options.stats, node, own_start, out);
+    EvalValue out(SeekEdges(g, *node.condition(), seek));
+    BookCollapsedScan(options.stats, /*book_select=*/false);
+    RecordOp(options.stats, node, own_start, out);  // the scan's time too
     return out;
   }
   // NFA-fused ϕ: when the closure's child subtree is the compiled form of
@@ -178,11 +270,20 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
       return out;
     }
   }
-  // Evaluate children first (all operators are strict).
+  // Evaluate children first (all operators are strict) — except the label
+  // atom a probe join reads straight from the label CSR (ApplyOp), which
+  // stays an empty placeholder.
+  const bool probe_join = MatchProbeJoin(node) != nullptr;
   std::vector<EvalValue> inputs;
   inputs.reserve(node.children().size());
-  for (const PlanPtr& c : node.children()) {
-    PATHALG_ASSIGN_OR_RETURN(EvalValue v, Eval(g, *c, options));
+  for (size_t i = 0; i < node.children().size(); ++i) {
+    if (probe_join && i == 1) {
+      BookCollapsedScan(options.stats, /*book_select=*/true);
+      inputs.emplace_back(PathSet());
+      continue;
+    }
+    PATHALG_ASSIGN_OR_RETURN(EvalValue v,
+                             Eval(g, *node.children()[i], options));
     inputs.push_back(std::move(v));
   }
   const SteadyClock::time_point own_start = SteadyClock::now();
@@ -226,7 +327,13 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
       return out;
     }
     case PlanKind::kJoin: {
-      EvalValue out(Join(paths(0), paths(1), par, &pstats));
+      const Condition* probe = MatchProbeJoin(node);
+      EvalValue out(
+          probe == nullptr
+              ? Join(paths(0), paths(1), par, &pstats)
+              : JoinOutEdges(g, paths(0),
+                             g.FindLabel(probe->constant().AsString()), par,
+                             &pstats));
       fold_parallel();
       if (CancelRequested(options.limits.cancel)) {
         return EvalCancelled(*options.limits.cancel);

@@ -42,10 +42,13 @@ struct EvalStats {
   size_t peak_intermediate_paths = 0;
   std::array<uint64_t, kNumPlanKinds> op_us{};
   std::array<size_t, kNumPlanKinds> op_count{};
-  /// σ_{label(edge(1))=L}(Edges(G)) subtrees answered from the graph's
-  /// label-partitioned CSR slice instead of a full edge scan + filter. The
-  /// fast path still books both operators into op_count/op_us, so these
-  /// hits are a subset of op_count[kSelect].
+  /// σ_c(Edges(G)) subtrees answered from the CSR adjacency instead of a
+  /// full edge scan + filter, by either access path: the seek (c has a
+  /// top-level label(edge(1)) = "L" or first-node conjunct) or the probe
+  /// join, where ⋈(X, σ_{label(edge(1))=L}(Edges(G))) extends X through
+  /// the label CSR and never evaluates its right side. Both still book the
+  /// collapsed scan and σ into op_count, so these hits are a subset of
+  /// op_count[kSelect].
   size_t label_scan_hits = 0;
   /// Work-stealing pool chunks executed by σ/⋈/ϕ parallel regions.
   size_t chunks_executed = 0;

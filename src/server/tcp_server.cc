@@ -3,6 +3,7 @@
 #ifdef __unix__
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -113,6 +114,12 @@ struct TcpServer::Impl {
     // trips this.
     const timeval timeout = SocketIoTimeout();
     setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    // Each response leaves in one write(), so Nagle has nothing to
+    // coalesce — it only holds a response back while an earlier one is
+    // un-ACKed, i.e. until the client's delayed-ACK timer (~40 ms) fires
+    // whenever a client pipelines requests.
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::string pending;
     char buf[4096];
     ssize_t n;

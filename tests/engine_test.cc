@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "engine/plan_cache.h"
 #include "engine/query_engine.h"
 #include "engine/serve.h"
+#include "engine/workload_file.h"
 #include "gql/query.h"
 #include "workload/figure1.h"
 #include "workload/generators.h"
@@ -191,6 +194,49 @@ TEST(QueryEngineTest, ExecuteFillsEvalStats) {
   EXPECT_GT(stats.eval.peak_intermediate_paths, 0u);
   EXPECT_GT(stats.eval.op_count[static_cast<size_t>(PlanKind::kRecursive)],
             0u);
+}
+
+// The three served point-read shapes must stay on the index access paths:
+// the start-node filter seeks the label CSR instead of scanning every
+// edge, and the second hop probes Last(p) instead of materializing its
+// label atom. A regression to scan-then-filter shows up as a peak of
+// every edge in the graph (3,600 here) for an answer of a handful of
+// paths.
+TEST(QueryEngineTest, PointReadShapesSeekInsteadOfScanning) {
+  auto graph = BuildWorkloadGraph(
+      "social persons=400 messages=800 ring=2 chords=400 likes=2 seed=7");
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto shared = std::make_shared<const PropertyGraph>(std::move(*graph));
+  QueryEngine eng(shared);
+  // Reference: the literal reading — unoptimized plan, naive ϕ, no fusion.
+  EngineOptions literal;
+  literal.query.optimize = false;
+  literal.query.eval.engine = PhiEngine::kNaive;
+  literal.query.eval.fuse_closures = false;
+  QueryEngine reference(shared, literal);
+  size_t answers = 0;
+  for (const char* person : {"person0", "person17", "person399"}) {
+    const std::string name = std::string("\"") + person + "\"";
+    for (const std::string& text :
+         {"MATCH ALL WALK p = (?x {name:" + name + "})-[:Knows/:Knows]->(?y)",
+          "MATCH ALL WALK p = (?x {name:" + name + "})-[:Knows]->(?y)",
+          "MATCH ALL WALK p = (?x)-[:Likes/:Has_creator]->(?y) WHERE "
+          "first.name = " + name}) {
+      ExecStats stats, ref_stats;
+      auto r = eng.Execute(text, &stats);
+      ASSERT_TRUE(r.ok()) << r.status() << " " << text;
+      auto ref = reference.Execute(text, &ref_stats);
+      ASSERT_TRUE(ref.ok()) << ref.status() << " " << text;
+      EXPECT_EQ(r->size(), ref->size()) << text;
+      EXPECT_LT(stats.eval.peak_intermediate_paths, 100u) << text;
+      EXPECT_GT(stats.eval.label_scan_hits, 0u) << text;
+      EXPECT_EQ(stats.eval.op_us[static_cast<size_t>(PlanKind::kEdgesScan)],
+                0u)
+          << text;
+      answers += r->size();
+    }
+  }
+  EXPECT_GT(answers, 0u);
 }
 
 TEST(QueryEngineTest, ParseErrorIsCountedAndNotCached) {

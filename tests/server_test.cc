@@ -671,6 +671,44 @@ TEST(TcpServerTest, TwoConcurrentClientsMatchSerialRuns) {
   EXPECT_EQ(concurrent_b, serial_b);
 }
 
+/// Regression for the Nagle + delayed-ACK stall: a client that pipelines
+/// two requests in one send gets the second response only after the
+/// server's TCP stack releases it. Without TCP_NODELAY on the server side
+/// that second write waits for the ACK of the first, which the client
+/// delays by ~40 ms because it has nothing to send meanwhile. With the
+/// option set a pair costs well under a millisecond on loopback; the
+/// bound leaves 20 ms per round for sanitizer builds and a loaded host.
+TEST(ServerTransportTest, PipelinedPairsAreNotHeldBackByNagle) {
+  GraphCatalog catalog;
+  SessionManager manager(&catalog, {});
+  TcpServer tcp(&manager);
+  ASSERT_TRUE(tcp.Start({}).ok());
+  LineClient client;
+  ASSERT_TRUE(client.Connect(tcp.port()).ok());
+  // Open the session and load figure1 before the clock starts.
+  ASSERT_TRUE(client.RoundTrip("!timing off").ok());
+  const std::string pair =
+      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)\n"
+      "MATCH ALL WALK p = (?x)-[:Likes/:Has_creator]->(?y)\n";
+  constexpr int kRounds = 20;
+  const auto start = std::chrono::steady_clock::now();
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(client.SendLine(pair).ok());  // both lines in one write()
+    for (int answer = 0; answer < 2; ++answer) {
+      auto line = client.ReadLine();
+      ASSERT_TRUE(line.ok()) << line.status().ToString();
+      EXPECT_EQ(line->rfind("OK ", 0), 0u) << *line;
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  tcp.Stop();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kRounds * 20))
+      << "pipelined pairs took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms for " << kRounds << " rounds";
+}
+
 TEST(TcpServerTest, OverAdmissionGetsBusyLineAndClose) {
   GraphCatalog catalog;
   SessionManagerOptions options;
