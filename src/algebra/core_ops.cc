@@ -126,12 +126,13 @@ PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
 // ∪/∩/∖ move whole sets around without changing any path, so every hash
 // is already known (PathSet::hash_of) — no rehashing.
 
-PathSet Union(const PathSet& s1, const PathSet& s2) {
-  PathSet out;
-  out.Reserve(s1.size() + s2.size());
-  for (size_t i = 0; i < s1.size(); ++i) out.InsertHashed(s1[i], s1.hash_of(i));
-  for (size_t i = 0; i < s2.size(); ++i) out.InsertHashed(s2[i], s2.hash_of(i));
-  return out;
+PathSet Union(PathSet s1, PathSet s2) {
+  s1.Reserve(s1.size() + s2.size());
+  PathSet::Contents right = std::move(s2).Release();
+  for (size_t i = 0; i < right.paths.size(); ++i) {
+    s1.InsertHashed(std::move(right.paths[i]), right.hashes[i]);
+  }
+  return s1;
 }
 
 PathSet Intersect(const PathSet& s1, const PathSet& s2) {

@@ -409,8 +409,10 @@ PathSet RestrictPaths(const PathSet& s, PathSemantics semantics) {
     return KeepShortestPerEndpointPair(s);
   }
   PathSet out;
-  for (const Path& p : s) {
-    if (SatisfiesSemantics(p, semantics)) out.Insert(p);
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (SatisfiesSemantics(s[i], semantics)) {
+      out.InsertHashed(s[i], s.hash_of(i));
+    }
   }
   return out;
 }
@@ -423,8 +425,12 @@ PathSet KeepShortestPerEndpointPair(const PathSet& s) {
     if (it == best.end() || p.Len() < it->second) best[key] = p.Len();
   }
   PathSet out;
-  for (const Path& p : s) {
-    if (best[std::make_pair(p.First(), p.Last())] == p.Len()) out.Insert(p);
+  for (size_t i = 0; i < s.size(); ++i) {
+    const Path& p = s[i];
+    // Every endpoint pair of s has an entry from the first loop.
+    if (best.find(std::make_pair(p.First(), p.Last()))->second == p.Len()) {
+      out.InsertHashed(p, s.hash_of(i));
+    }
   }
   return out;
 }

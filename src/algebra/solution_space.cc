@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <tuple>
@@ -117,59 +116,63 @@ std::string SolutionSpace::ToTableString(const PropertyGraph& graph) const {
   return os.str();
 }
 
-SolutionSpace GroupBy(const PathSet& s, GroupKey key) {
+SolutionSpace GroupBy(PathSet s, GroupKey key) {
   SolutionSpace ss;
   const bool use_s = GroupKeyUsesSource(key);
   const bool use_t = GroupKeyUsesTarget(key);
   const bool use_l = GroupKeyUsesLength(key);
+  PathSet::Contents in = std::move(s).Release();
+  ss.paths_ = std::move(in.paths);
+  ss.path_hashes_ = std::move(in.hashes);
+  const size_t n = ss.paths_.size();
 
-  // Partition key: (source?, target?); group key refines it with (length?).
-  // kInvalidId marks "component unused" so that all paths share the key.
-  using PartKey = std::pair<uint32_t, uint32_t>;
-  using GrpKey = std::tuple<uint32_t, uint32_t, size_t>;
-  std::map<PartKey, uint32_t> partitions;
-  std::map<GrpKey, uint32_t> groups;
-
-  auto part_key = [&](const Path& p) -> PartKey {
-    return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId};
+  // Group key (source?, target?, length?); its (source, target) prefix is
+  // the partition key. kInvalidId / 0 mark "component unused" so that all
+  // paths share it.
+  struct Key {
+    uint32_t source;
+    uint32_t target;
+    size_t length;
   };
-  auto grp_key = [&](const Path& p) -> GrpKey {
-    return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId,
-            use_l ? p.Len() : 0};
-  };
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Path& p = ss.paths_[i];
+    keys[i] = {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId,
+               use_l ? p.Len() : 0};
+  }
 
-  // Phase 1: collect keys, then number partitions and groups in key order.
-  // Canonical numbering (by source/target/length, not first occurrence)
+  // One stable sort of path indices by key numbers partitions and groups
+  // canonically (by source/target/length, not first occurrence), which
   // makes the solution space — and hence every ANY-style projection pick —
-  // independent of how the input set was enumerated, which is what lets
-  // the optimizer's rewrites preserve results exactly.
-  for (const Path& p : s) {
-    partitions[part_key(p)] = 0;
-    groups[grp_key(p)] = 0;
-  }
-  uint32_t next = 0;
-  for (auto& [k, v] : partitions) v = next++;
-  next = 0;
-  for (auto& [k, v] : groups) v = next++;
+  // independent of how the input set was enumerated; that is what lets
+  // the optimizer's rewrites preserve results exactly. Ties keep index
+  // order, so paths keep their set insertion order within each group.
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::tie(keys[a].source, keys[a].target, keys[a].length) <
+           std::tie(keys[b].source, keys[b].target, keys[b].length);
+  });
 
-  ss.partition_groups_.resize(partitions.size());
-  ss.group_paths_.resize(groups.size());
-  ss.group_partition_.resize(groups.size());
-  for (const auto& [gk, gi] : groups) {
-    uint32_t pi = partitions[PartKey{std::get<0>(gk), std::get<1>(gk)}];
-    ss.group_partition_[gi] = pi;
-    // Map iteration is key order, so groups land in each partition sorted
-    // by their length component.
-    ss.partition_groups_[pi].push_back(gi);
-  }
-
-  // Phase 2: paths keep their set insertion order within each group.
-  for (const Path& p : s) {
-    uint32_t gi = groups[grp_key(p)];
-    uint32_t path_ix = static_cast<uint32_t>(ss.paths_.size());
-    ss.paths_.push_back(p);
-    ss.path_group_.push_back(gi);
-    ss.group_paths_[gi].push_back(path_ix);
+  ss.path_group_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const Key& cur = keys[order[k]];
+    const Key* prev = k == 0 ? nullptr : &keys[order[k - 1]];
+    const bool new_partition = prev == nullptr ||
+                               prev->source != cur.source ||
+                               prev->target != cur.target;
+    if (new_partition) ss.partition_groups_.emplace_back();
+    if (new_partition || prev->length != cur.length) {
+      // Groups land in each partition sorted by their length component.
+      ss.partition_groups_.back().push_back(
+          static_cast<uint32_t>(ss.group_paths_.size()));
+      ss.group_partition_.push_back(
+          static_cast<uint32_t>(ss.partition_groups_.size() - 1));
+      ss.group_paths_.emplace_back();
+    }
+    ss.group_paths_.back().push_back(order[k]);
+    ss.path_group_[order[k]] =
+        static_cast<uint32_t>(ss.group_paths_.size() - 1);
   }
 
   // Δ(x) = 1 for every path, group and partition (§5.1): no virtual order.
@@ -179,8 +182,8 @@ SolutionSpace GroupBy(const PathSet& s, GroupKey key) {
   return ss;
 }
 
-SolutionSpace OrderBy(const SolutionSpace& in, OrderKey key) {
-  SolutionSpace ss = in;  // Δ′ is the only change (Table 6).
+SolutionSpace OrderBy(SolutionSpace ss, OrderKey key) {
+  // Δ′ is the only change (Table 6).
   if (OrderKeyOrdersPartitions(key)) {
     for (size_t p = 0; p < ss.num_partitions(); ++p) {
       ss.partition_rank_[p] = ss.MinLenOfPartition(p);
@@ -207,7 +210,7 @@ std::string ProjectionSpec::ToString() const {
          render(paths) + ")";
 }
 
-Result<PathSet> Project(const SolutionSpace& ss, const ProjectionSpec& spec) {
+Result<PathSet> Project(SolutionSpace ss, const ProjectionSpec& spec) {
   for (const auto& field : {spec.partitions, spec.groups, spec.paths}) {
     if (field.has_value() && *field == 0) {
       return Status::InvalidArgument(
@@ -216,7 +219,9 @@ Result<PathSet> Project(const SolutionSpace& ss, const ProjectionSpec& spec) {
   }
 
   // Algorithm 1. Sort(·) is a stable sort on Δ so that equal ranks keep
-  // their first-occurrence order.
+  // their first-occurrence order. The group and path lists are sorted in
+  // place: every group lies in one partition and every path in one group,
+  // so each list is sorted — and each path moved out — at most once.
   auto take = [](const std::optional<size_t>& want, size_t have) {
     return (!want.has_value() || *want > have) ? have : *want;
   };
@@ -229,16 +234,16 @@ Result<PathSet> Project(const SolutionSpace& ss, const ProjectionSpec& spec) {
                    });
 
   PathSet out;
-  size_t max_p = take(spec.partitions, seq_p.size());
+  const size_t max_p = take(spec.partitions, seq_p.size());
   for (size_t pi = 0; pi < max_p; ++pi) {
-    std::vector<uint32_t> seq_g = ss.GroupsOfPartition(seq_p[pi]);
+    std::vector<uint32_t>& seq_g = ss.partition_groups_[seq_p[pi]];
     std::stable_sort(seq_g.begin(), seq_g.end(),
                      [&](uint32_t a, uint32_t b) {
                        return ss.GroupRank(a) < ss.GroupRank(b);
                      });
-    size_t max_g = take(spec.groups, seq_g.size());
+    const size_t max_g = take(spec.groups, seq_g.size());
     for (size_t gi = 0; gi < max_g; ++gi) {
-      std::vector<uint32_t> seq_a = ss.PathsOfGroup(seq_g[gi]);
+      std::vector<uint32_t>& seq_a = ss.group_paths_[seq_g[gi]];
       // Path-level ties break by canonical path order (not insertion
       // order): the paper's ANY/ANY SHORTEST are non-deterministic; we
       // resolve them so the pick is independent of how the input set was
@@ -250,9 +255,10 @@ Result<PathSet> Project(const SolutionSpace& ss, const ProjectionSpec& spec) {
                          }
                          return ss.path(a) < ss.path(b);
                        });
-      size_t max_a = take(spec.paths, seq_a.size());
+      const size_t max_a = take(spec.paths, seq_a.size());
       for (size_t ai = 0; ai < max_a; ++ai) {
-        out.Insert(ss.path(seq_a[ai]));
+        const uint32_t i = seq_a[ai];
+        out.InsertHashed(std::move(ss.paths_[i]), ss.path_hashes_[i]);
       }
     }
   }

@@ -15,6 +15,14 @@
 /// manipulates and π consumes. γ initializes every Δ to 1 (no order); τ
 /// redefines Δ per Table 6 (MinL of partitions/groups, Len of paths).
 ///
+/// The space owns the paths moved into it. γ takes the set it is handed —
+/// paths and their stored hashes — without copying a path; τ consumes its
+/// input space and rewrites Δ in place; π consumes its input space and
+/// moves the selected paths out. The evaluator owns every intermediate
+/// value, so it moves each one into the next operator: a path built by ϕ
+/// reaches the result set without ever being copied. A caller that passes
+/// an lvalue keeps it — the by-value parameter makes the copy.
+///
 /// Deviation noted: for an empty input set the paper's γ∅ formally creates
 /// one empty group in one partition; we create an empty space (no
 /// partitions) — π yields ∅ either way and MinL of an empty group would be
@@ -48,11 +56,14 @@ bool OrderKeyOrdersPartitions(OrderKey k);
 bool OrderKeyOrdersGroups(OrderKey k);
 bool OrderKeyOrdersPaths(OrderKey k);
 
-/// A materialized solution space. Indices are dense: partitions and groups
-/// are numbered canonically by their (source, target, length) keys — never
-/// by input enumeration order — and paths keep set insertion order within
-/// their group. This keeps every operator deterministic and makes spaces
-/// built from differently-ordered but equal path sets identical.
+struct ProjectionSpec;
+
+/// A materialized solution space that owns its paths (and their hashes,
+/// which π hands on to its output set). Indices are dense: partitions and
+/// groups are numbered canonically by their (source, target, length) keys —
+/// never by input enumeration order — and paths keep set insertion order
+/// within their group. This keeps every operator deterministic and makes
+/// spaces built from differently-ordered but equal path sets identical.
 class SolutionSpace {
  public:
   size_t num_paths() const { return paths_.size(); }
@@ -91,10 +102,14 @@ class SolutionSpace {
   std::string ToTableString(const PropertyGraph& g) const;
 
  private:
-  friend SolutionSpace GroupBy(const PathSet& s, GroupKey key);
-  friend SolutionSpace OrderBy(const SolutionSpace& ss, OrderKey key);
+  friend SolutionSpace GroupBy(PathSet s, GroupKey key);
+  friend SolutionSpace OrderBy(SolutionSpace ss, OrderKey key);
+  friend Result<PathSet> Project(SolutionSpace ss,
+                                 const ProjectionSpec& spec);
 
   std::vector<Path> paths_;
+  /// path_hashes_[i] == paths_[i].Hash(), carried over from the input set.
+  std::vector<size_t> path_hashes_;
   std::vector<uint32_t> path_group_;
   std::vector<uint32_t> group_partition_;
   std::vector<std::vector<uint32_t>> group_paths_;
@@ -105,11 +120,12 @@ class SolutionSpace {
 };
 
 /// γψ(S) (§5.1): partitions by the S/T components of ψ, groups by the L
-/// component, Δ ≡ 1.
-SolutionSpace GroupBy(const PathSet& s, GroupKey key);
+/// component, Δ ≡ 1. Takes over the paths of `s`.
+SolutionSpace GroupBy(PathSet s, GroupKey key);
 
-/// τθ(SS) (§5.2, Table 6): returns SS with Δ replaced by Δ′.
-SolutionSpace OrderBy(const SolutionSpace& ss, OrderKey key);
+/// τθ(SS) (§5.2, Table 6): returns SS with Δ replaced by Δ′, rewritten in
+/// place.
+SolutionSpace OrderBy(SolutionSpace ss, OrderKey key);
 
 /// Projection parameters (#P, #G, #A); nullopt renders the paper's `*`.
 /// Counts must be ≥ 1 ("each # is either the symbol * or a positive
@@ -125,8 +141,8 @@ struct ProjectionSpec {
 /// π(#P,#G,#A)(SS): Algorithm 1. Sorts partitions / groups / paths by Δ
 /// (stable — ties keep first-occurrence order, making ANY-style selections
 /// deterministic in this implementation) and emits the requested prefix of
-/// each level.
-Result<PathSet> Project(const SolutionSpace& ss, const ProjectionSpec& spec);
+/// each level, moving the selected paths out of `ss`.
+Result<PathSet> Project(SolutionSpace ss, const ProjectionSpec& spec);
 
 }  // namespace pathalg
 

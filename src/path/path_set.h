@@ -8,16 +8,21 @@
 /// which makes every operator deterministic; `Sorted()` gives the canonical
 /// (length, ids) order used by tests and printers.
 ///
-/// The dedup index maps precomputed path hashes to indices into the
-/// insertion-ordered storage (hash collisions fall back to full Path
-/// equality), so the set never stores a second copy of any path. `Insert`
-/// hashes for you; `InsertHashed` takes a caller-computed hash — the
-/// parallel operators' chunk bodies hash their candidates off the merge
-/// thread, leaving the serial merge loop a probe + push_back.
+/// The dedup index is a flat open-addressing table of `uint32_t` slots, each
+/// holding an index into the insertion-ordered storage plus one (0 marks an
+/// empty slot). A path's hash picks its home slot by its low bits; linear
+/// probing walks on from there, comparing the stored hash before testing
+/// full Path equality. The capacity is a power of two kept at least twice
+/// the size, so probe chains stay short, and an insert allocates nothing
+/// but amortized vector growth. The set never stores a second copy of any
+/// path, and iteration never touches the table. `Insert` hashes for you;
+/// `InsertHashed` takes a caller-computed hash — the parallel operators'
+/// chunk bodies hash their candidates off the merge thread, and operators
+/// that move paths between sets pass the stored `hash_of(i)` along.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "path/path.h"
@@ -60,9 +65,21 @@ class PathSet {
   const std::vector<Path>& paths() const { return paths_; }
 
   /// The stored hash of paths()[i] (== paths()[i].Hash()). Set-to-set
-  /// operators (∪/∩/∖, σ's serial loop) propagate these instead of
-  /// rehashing every path they copy.
+  /// operators (∪/∩/∖, σ's serial loop, ρ, γ) propagate these instead of
+  /// rehashing every path they copy or move.
   size_t hash_of(size_t i) const { return hashes_[i]; }
+
+  /// The paths in insertion order and their hashes (hashes[i] ==
+  /// paths[i].Hash()), released by Release().
+  struct Contents {
+    std::vector<Path> paths;
+    std::vector<size_t> hashes;
+  };
+
+  /// Hands over the stored paths and hashes without copying them; a
+  /// consuming operator calls this on the set it owns. The set is left
+  /// empty.
+  Contents Release() &&;
 
   /// Paths in canonical (length, node-ids, edge-ids) order.
   std::vector<Path> Sorted() const;
@@ -72,33 +89,27 @@ class PathSet {
   bool operator!=(const PathSet& other) const { return !(*this == other); }
 
   /// Pre-sizes storage and the dedup index for `n` expected paths.
-  void Reserve(size_t n) {
-    paths_.reserve(n);
-    hashes_.reserve(n);
-    index_.reserve(n);
-  }
+  void Reserve(size_t n);
 
-  void clear() {
-    paths_.clear();
-    hashes_.clear();
-    index_.clear();
-  }
+  /// Empties the set, keeping its storage and table capacity.
+  void clear();
 
   /// Renders as "{(n1, e1, n2), ...}" in canonical order.
   std::string ToString(const PropertyGraph& g) const;
 
  private:
-  /// Path::Hash() is already avalanche-mixed (common/hash.h), so the
-  /// bucket mapping can consume it as-is.
-  struct IdentityHash {
-    size_t operator()(size_t h) const { return h; }
-  };
+  /// Rebuilds the table with `capacity` slots (a power of two) from
+  /// hashes_; stored paths are distinct, so no equality test is needed.
+  void Rehash(size_t capacity);
 
   std::vector<Path> paths_;
-  /// hashes_[i] == paths_[i].Hash(), for hash propagation (hash_of).
+  /// hashes_[i] == paths_[i].Hash(), for probing and hash propagation.
   std::vector<size_t> hashes_;
-  /// hash -> index into paths_; multimap so colliding hashes coexist.
-  std::unordered_multimap<size_t, size_t, IdentityHash> index_;
+  /// Open-addressing table: slot value i + 1 refers to paths_[i], 0 is
+  /// empty. Its size is 0 or a power of two ≥ 2 * paths_.size(). A set
+  /// thus holds fewer than 2^32 − 1 paths; at ≥ 48 bytes a path, memory
+  /// runs out long before that.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace pathalg

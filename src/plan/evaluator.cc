@@ -341,7 +341,7 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
       return out;
     }
     case PlanKind::kUnion:
-      return EvalValue(Union(paths(0), paths(1)));
+      return EvalValue(Union(std::move(paths(0)), std::move(paths(1))));
     case PlanKind::kIntersect:
       return EvalValue(Intersect(paths(0), paths(1)));
     case PlanKind::kDifference:
@@ -357,14 +357,14 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
     case PlanKind::kRestrict:
       return EvalValue(RestrictPaths(paths(0), node.semantics()));
     case PlanKind::kGroupBy:
-      return EvalValue(GroupBy(paths(0), node.group_key()));
+      return EvalValue(GroupBy(std::move(paths(0)), node.group_key()));
     case PlanKind::kOrderBy:
-      return EvalValue(
-          OrderBy(std::get<SolutionSpace>(inputs[0]), node.order_key()));
+      return EvalValue(OrderBy(std::move(std::get<SolutionSpace>(inputs[0])),
+                               node.order_key()));
     case PlanKind::kProject: {
       PATHALG_ASSIGN_OR_RETURN(
-          PathSet r,
-          Project(std::get<SolutionSpace>(inputs[0]), node.projection()));
+          PathSet r, Project(std::move(std::get<SolutionSpace>(inputs[0])),
+                             node.projection()));
       return EvalValue(std::move(r));
     }
   }

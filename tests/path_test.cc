@@ -199,6 +199,123 @@ TEST_F(PathTest, PathSetHashCollisionsStillCompareByValue) {
   EXPECT_EQ(s.size(), 2u);
 }
 
+// The dedup index is an open-addressing table of uint32 slots with linear
+// probing; these tests drive it through growth, long probe chains,
+// wrap-around, and the whole-set operations.
+
+/// Distinct synthetic paths (the index never consults a graph).
+Path SyntheticPath(uint32_t i) {
+  return Path({i % 1000, i / 1000, i % 7}, {i, i + 1});
+}
+
+TEST_F(PathTest, PathSetIndexCrossesRehashBoundaries) {
+  constexpr uint32_t kCount = 120000;  // 16 → 262144 slots: 14 rehashes
+  PathSet s;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(s.Insert(SyntheticPath(i))) << i;
+  }
+  ASSERT_EQ(s.size(), kCount);
+  for (uint32_t i = 0; i < kCount; ++i) {
+    const Path p = SyntheticPath(i);
+    ASSERT_TRUE(s.Contains(p)) << i;
+    ASSERT_FALSE(s.Insert(p)) << i;
+    ASSERT_EQ(s.paths()[i], p) << "insertion order lost at " << i;
+    ASSERT_EQ(s.hash_of(i), s.paths()[i].Hash()) << i;
+  }
+  EXPECT_EQ(s.size(), kCount);
+  EXPECT_FALSE(s.Contains(SyntheticPath(kCount)));
+}
+
+TEST_F(PathTest, PathSetLongProbeChainsWrapAroundTheTable) {
+  // Every hash has its low 16 bits set, so each path's home is the last
+  // slot of every table up to 65536 slots: the chain starts at the end,
+  // wraps to slot 0 and grows through several rehashes. Half the paths
+  // share one full hash, so only the Path equality test tells them apart.
+  constexpr size_t kLowBits = 0xffff;
+  constexpr uint32_t kCount = 600;
+  auto hash_for = [](uint32_t i) -> size_t {
+    return i % 2 == 0 ? (size_t{1} << 40) | kLowBits
+                      : (static_cast<size_t>(i) << 32) | kLowBits;
+  };
+  PathSet s;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(s.InsertHashed(SyntheticPath(i), hash_for(i))) << i;
+  }
+  // Ordinary hashes land among the chained slots and must not break it.
+  for (uint32_t i = kCount; i < kCount + 50; ++i) {
+    ASSERT_TRUE(s.Insert(SyntheticPath(i))) << i;
+  }
+  for (uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(s.ContainsHashed(SyntheticPath(i), hash_for(i))) << i;
+    ASSERT_FALSE(s.InsertHashed(SyntheticPath(i), hash_for(i))) << i;
+    ASSERT_EQ(s.paths()[i], SyntheticPath(i));
+    ASSERT_EQ(s.hash_of(i), hash_for(i));
+  }
+  for (uint32_t i = kCount; i < kCount + 50; ++i) {
+    ASSERT_TRUE(s.Contains(SyntheticPath(i))) << i;
+  }
+  // Misses walk the whole chain and stop at the first empty slot.
+  EXPECT_FALSE(s.ContainsHashed(SyntheticPath(kCount + 50), hash_for(0)));
+  EXPECT_FALSE(s.ContainsHashed(SyntheticPath(kCount + 50), kLowBits));
+  EXPECT_EQ(s.size(), kCount + 50);
+}
+
+TEST_F(PathTest, PathSetReserveClearCopyMoveAndEmptyProbes) {
+  PathSet empty;
+  EXPECT_FALSE(empty.ContainsHashed(SyntheticPath(0), 0));
+  EXPECT_FALSE(empty.ContainsHashed(SyntheticPath(0), SyntheticPath(0).Hash()));
+  EXPECT_FALSE(empty.Contains(SyntheticPath(0)));
+
+  PathSet s;
+  s.Reserve(1000);
+  for (uint32_t i = 0; i < 1000; ++i) ASSERT_TRUE(s.Insert(SyntheticPath(i)));
+  for (uint32_t i = 0; i < 1000; ++i) ASSERT_TRUE(s.Contains(SyntheticPath(i)));
+  s.Reserve(10);  // never shrinks
+  EXPECT_TRUE(s.Contains(SyntheticPath(999)));
+
+  PathSet copy = s;
+  EXPECT_TRUE(copy.Insert(SyntheticPath(5000)));
+  EXPECT_FALSE(s.Contains(SyntheticPath(5000)));  // copies are independent
+  EXPECT_EQ(copy.size(), 1001u);
+  EXPECT_EQ(s.size(), 1000u);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(copy.Contains(SyntheticPath(i)));
+  }
+
+  PathSet moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 1001u);
+  EXPECT_TRUE(moved.Contains(SyntheticPath(5000)));
+  EXPECT_FALSE(moved.Insert(SyntheticPath(17)));
+
+  PathSet assigned;
+  assigned.Insert(SyntheticPath(9999));
+  assigned = std::move(moved);
+  EXPECT_FALSE(assigned.Contains(SyntheticPath(9999)));
+  EXPECT_TRUE(assigned.Contains(SyntheticPath(5000)));
+
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  for (uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_FALSE(s.Contains(SyntheticPath(i))) << "stale slot for " << i;
+  }
+  EXPECT_TRUE(s.Insert(SyntheticPath(7)));
+  EXPECT_TRUE(s.Insert(SyntheticPath(3)));
+  EXPECT_FALSE(s.Insert(SyntheticPath(7)));
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0], SyntheticPath(7));
+  EXPECT_EQ(s[1], SyntheticPath(3));
+
+  // Release hands over paths and hashes in order and leaves an empty,
+  // reusable set.
+  PathSet::Contents c = std::move(s).Release();
+  ASSERT_EQ(c.paths.size(), 2u);
+  EXPECT_EQ(c.paths[0], SyntheticPath(7));
+  EXPECT_EQ(c.hashes[1], SyntheticPath(3).Hash());
+  EXPECT_TRUE(s.empty());  // NOLINT(bugprone-use-after-move): documented
+  EXPECT_FALSE(s.Contains(SyntheticPath(7)));
+  EXPECT_TRUE(s.Insert(SyntheticPath(7)));
+}
+
 TEST_F(PathTest, PathSetEqualityIsOrderInsensitive) {
   PathSet a, b;
   a.Insert(Path::EdgeOf(g_, ids_.e1));

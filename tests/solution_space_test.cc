@@ -1,16 +1,25 @@
 // Tests for the Extended Path Algebra (§5): solution spaces, γψ (Table 4),
 // τθ (Table 6), π (Algorithm 1), and the paper's worked example — Table 5
-// and the Figure 5 pipeline (ANY SHORTEST TRAIL).
+// and the Figure 5 pipeline (ANY SHORTEST TRAIL) — plus a seeded
+// differential of the consuming γ/τ/π against a copying, map-based
+// reference implementation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "algebra/core_ops.h"
 #include "algebra/recursive.h"
 #include "algebra/solution_space.h"
 #include "path/path_ops.h"
 #include "workload/figure1.h"
+#include "workload/generators.h"
 
 namespace pathalg {
 namespace {
@@ -351,6 +360,263 @@ TEST_F(SolutionSpaceTest, KeyPredicateHelpers) {
   EXPECT_FALSE(OrderKeyOrdersPaths(OrderKey::kPG));
   EXPECT_STREQ(GroupKeyToString(GroupKey::kSTL), "STL");
   EXPECT_STREQ(OrderKeyToString(OrderKey::kPGA), "PGA");
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the consuming γ/τ/π against a reference that copies every
+// path and numbers partitions and groups through two std::maps — the
+// original implementation, kept here as the oracle.
+// ---------------------------------------------------------------------------
+
+struct RefSpace {
+  std::vector<Path> paths;
+  std::vector<uint32_t> path_group;
+  std::vector<uint32_t> group_partition;
+  std::vector<std::vector<uint32_t>> group_paths;
+  std::vector<std::vector<uint32_t>> partition_groups;
+  std::vector<size_t> path_rank;
+  std::vector<size_t> group_rank;
+  std::vector<size_t> partition_rank;
+
+  size_t MinLenOfGroup(size_t g) const {
+    size_t min_len = std::numeric_limits<size_t>::max();
+    for (uint32_t i : group_paths[g]) {
+      min_len = std::min(min_len, paths[i].Len());
+    }
+    return min_len;
+  }
+  size_t MinLenOfPartition(size_t p) const {
+    size_t min_len = std::numeric_limits<size_t>::max();
+    for (uint32_t g : partition_groups[p]) {
+      min_len = std::min(min_len, MinLenOfGroup(g));
+    }
+    return min_len;
+  }
+};
+
+RefSpace RefGroupBy(const PathSet& s, GroupKey key) {
+  RefSpace ss;
+  const bool use_s = GroupKeyUsesSource(key);
+  const bool use_t = GroupKeyUsesTarget(key);
+  const bool use_l = GroupKeyUsesLength(key);
+
+  using PartKey = std::pair<uint32_t, uint32_t>;
+  using GrpKey = std::tuple<uint32_t, uint32_t, size_t>;
+  std::map<PartKey, uint32_t> partitions;
+  std::map<GrpKey, uint32_t> groups;
+
+  auto part_key = [&](const Path& p) -> PartKey {
+    return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId};
+  };
+  auto grp_key = [&](const Path& p) -> GrpKey {
+    return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId,
+            use_l ? p.Len() : 0};
+  };
+
+  for (const Path& p : s) {
+    partitions[part_key(p)] = 0;
+    groups[grp_key(p)] = 0;
+  }
+  uint32_t next = 0;
+  for (auto& [k, v] : partitions) v = next++;
+  next = 0;
+  for (auto& [k, v] : groups) v = next++;
+
+  ss.partition_groups.resize(partitions.size());
+  ss.group_paths.resize(groups.size());
+  ss.group_partition.resize(groups.size());
+  for (const auto& [gk, gi] : groups) {
+    uint32_t pi = partitions[PartKey{std::get<0>(gk), std::get<1>(gk)}];
+    ss.group_partition[gi] = pi;
+    ss.partition_groups[pi].push_back(gi);
+  }
+
+  for (const Path& p : s) {
+    uint32_t gi = groups[grp_key(p)];
+    uint32_t path_ix = static_cast<uint32_t>(ss.paths.size());
+    ss.paths.push_back(p);
+    ss.path_group.push_back(gi);
+    ss.group_paths[gi].push_back(path_ix);
+  }
+
+  ss.path_rank.assign(ss.paths.size(), 1);
+  ss.group_rank.assign(ss.group_paths.size(), 1);
+  ss.partition_rank.assign(ss.partition_groups.size(), 1);
+  return ss;
+}
+
+RefSpace RefOrderBy(const RefSpace& in, OrderKey key) {
+  RefSpace ss = in;
+  if (OrderKeyOrdersPartitions(key)) {
+    for (size_t p = 0; p < ss.partition_groups.size(); ++p) {
+      ss.partition_rank[p] = ss.MinLenOfPartition(p);
+    }
+  }
+  if (OrderKeyOrdersGroups(key)) {
+    for (size_t g = 0; g < ss.group_paths.size(); ++g) {
+      ss.group_rank[g] = ss.MinLenOfGroup(g);
+    }
+  }
+  if (OrderKeyOrdersPaths(key)) {
+    for (size_t i = 0; i < ss.paths.size(); ++i) {
+      ss.path_rank[i] = ss.paths[i].Len();
+    }
+  }
+  return ss;
+}
+
+PathSet RefProject(const RefSpace& ss, const ProjectionSpec& spec) {
+  auto take = [](const std::optional<size_t>& want, size_t have) {
+    return (!want.has_value() || *want > have) ? have : *want;
+  };
+
+  std::vector<uint32_t> seq_p(ss.partition_groups.size());
+  std::iota(seq_p.begin(), seq_p.end(), 0);
+  std::stable_sort(seq_p.begin(), seq_p.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return ss.partition_rank[a] < ss.partition_rank[b];
+                   });
+
+  PathSet out;
+  size_t max_p = take(spec.partitions, seq_p.size());
+  for (size_t pi = 0; pi < max_p; ++pi) {
+    std::vector<uint32_t> seq_g = ss.partition_groups[seq_p[pi]];
+    std::stable_sort(seq_g.begin(), seq_g.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return ss.group_rank[a] < ss.group_rank[b];
+                     });
+    size_t max_g = take(spec.groups, seq_g.size());
+    for (size_t gi = 0; gi < max_g; ++gi) {
+      std::vector<uint32_t> seq_a = ss.group_paths[seq_g[gi]];
+      std::stable_sort(seq_a.begin(), seq_a.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         if (ss.path_rank[a] != ss.path_rank[b]) {
+                           return ss.path_rank[a] < ss.path_rank[b];
+                         }
+                         return ss.paths[a] < ss.paths[b];
+                       });
+      size_t max_a = take(spec.paths, seq_a.size());
+      for (size_t ai = 0; ai < max_a; ++ai) {
+        out.Insert(ss.paths[seq_a[ai]]);
+      }
+    }
+  }
+  return out;
+}
+
+/// Asserts `ss` equals the reference byte-for-byte: paths and their order,
+/// α/β and their inverse images, and every Δ rank.
+void ExpectSameSpace(const SolutionSpace& ss, const RefSpace& ref,
+                     const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(ss.paths(), ref.paths);
+  ASSERT_EQ(ss.num_groups(), ref.group_paths.size());
+  ASSERT_EQ(ss.num_partitions(), ref.partition_groups.size());
+  for (size_t i = 0; i < ss.num_paths(); ++i) {
+    EXPECT_EQ(ss.GroupOfPath(i), ref.path_group[i]) << "path " << i;
+    EXPECT_EQ(ss.PathRank(i), ref.path_rank[i]) << "path " << i;
+  }
+  for (size_t g = 0; g < ss.num_groups(); ++g) {
+    EXPECT_EQ(ss.PartitionOfGroup(g), ref.group_partition[g]) << "group " << g;
+    EXPECT_EQ(ss.PathsOfGroup(g), ref.group_paths[g]) << "group " << g;
+    EXPECT_EQ(ss.GroupRank(g), ref.group_rank[g]) << "group " << g;
+  }
+  for (size_t p = 0; p < ss.num_partitions(); ++p) {
+    EXPECT_EQ(ss.GroupsOfPartition(p), ref.partition_groups[p])
+        << "partition " << p;
+    EXPECT_EQ(ss.PartitionRank(p), ref.partition_rank[p])
+        << "partition " << p;
+  }
+}
+
+/// A set of random walks over `g` (lengths 0–5, so zero-length paths
+/// occur), inserted in walk order; duplicates fold away.
+PathSet RandomWalks(const PropertyGraph& g, std::mt19937_64& rng,
+                    size_t count) {
+  PathSet out;
+  if (g.num_nodes() == 0) return out;
+  for (size_t k = 0; k < count; ++k) {
+    std::vector<NodeId> nodes = {
+        static_cast<NodeId>(rng() % g.num_nodes())};
+    std::vector<EdgeId> edges;
+    const size_t len = rng() % 6;
+    while (edges.size() < len) {
+      auto out_edges = g.OutEdges(nodes.back());
+      if (out_edges.size() == 0) break;
+      const EdgeId e = out_edges[rng() % out_edges.size()];
+      edges.push_back(e);
+      nodes.push_back(g.Target(e));
+    }
+    out.Insert(Path(std::move(nodes), std::move(edges)));
+  }
+  return out;
+}
+
+TEST_F(SolutionSpaceTest, ConsumingOperatorsMatchCopyingReferenceFuzz) {
+  constexpr GroupKey kGroupKeys[] = {
+      GroupKey::kNone, GroupKey::kS,  GroupKey::kT,  GroupKey::kL,
+      GroupKey::kST,   GroupKey::kSL, GroupKey::kTL, GroupKey::kSTL};
+  const std::vector<std::optional<OrderKey>> order_keys = {
+      std::nullopt,   OrderKey::kP,  OrderKey::kG,  OrderKey::kA,
+      OrderKey::kPG,  OrderKey::kPA, OrderKey::kGA, OrderKey::kPGA};
+  const std::optional<size_t> kCounts[] = {std::nullopt, 1, 2};
+
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    // Figure 1 for a third of the trials, else a small random multigraph
+    // dense enough for repeated endpoints and lengths.
+    const size_t n = 3 + rng() % 8;
+    const size_t m = 4 + rng() % 20;
+    const uint64_t graph_seed = rng();
+    PropertyGraph g = seed % 3 == 0
+                          ? g_
+                          : MakeRandomGraph(n, m, {"a", "b"}, graph_seed);
+    const PathSet input = RandomWalks(g, rng, rng() % 60);
+    const std::vector<Path> input_paths = input.paths();
+
+    for (GroupKey gk : kGroupKeys) {
+      const RefSpace ref_grouped = RefGroupBy(input, gk);
+      SolutionSpace grouped = GroupBy(input, gk);  // lvalue: copied
+      ASSERT_EQ(input.paths(), input_paths) << "GroupBy changed its input";
+      for (size_t i = 0; i < input.size(); ++i) {
+        ASSERT_EQ(input.hash_of(i), input_paths[i].Hash());
+      }
+
+      for (const std::optional<OrderKey>& ok : order_keys) {
+        const std::string where =
+            "seed=" + std::to_string(seed) + " γ" + GroupKeyToString(gk) +
+            (ok.has_value() ? std::string(" τ") + OrderKeyToString(*ok)
+                            : std::string(" (no τ)"));
+        const RefSpace ref =
+            ok.has_value() ? RefOrderBy(ref_grouped, *ok) : ref_grouped;
+        SolutionSpace ss =
+            ok.has_value() ? OrderBy(grouped, *ok) : grouped;
+        ExpectSameSpace(grouped, ref_grouped, where + " (τ input)");
+        ExpectSameSpace(ss, ref, where);
+
+        for (const auto& np : kCounts) {
+          for (const auto& ng : kCounts) {
+            for (const auto& na : kCounts) {
+              const ProjectionSpec spec{np, ng, na};
+              const PathSet want = RefProject(ref, spec);
+              Result<PathSet> got = Project(ss, spec);  // lvalue: copied
+              ASSERT_TRUE(got.ok()) << where;
+              ASSERT_EQ(got->paths(), want.paths())
+                  << where << " π" << spec.ToString();
+              for (size_t i = 0; i < got->size(); ++i) {
+                ASSERT_EQ(got->hash_of(i), (*got)[i].Hash());
+              }
+            }
+          }
+        }
+        ExpectSameSpace(ss, ref, where + " (after π)");
+        // The consuming form — what the evaluator calls — agrees too.
+        Result<PathSet> moved = Project(std::move(ss), {});
+        ASSERT_TRUE(moved.ok());
+        EXPECT_EQ(moved->paths(), RefProject(ref, {}).paths()) << where;
+      }
+    }
+  }
 }
 
 }  // namespace
