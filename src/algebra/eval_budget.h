@@ -3,9 +3,10 @@
 
 /// \file eval_budget.h
 /// The shared EvalLimits budget contract for every path-enumeration
-/// engine: the three algebra ϕ engines (naive, semi-naive, layered
-/// shortest), the NFA-fused frontier engine (frontier_closure.h) and the
-/// automaton baseline (baseline/automaton_eval.h). The differential
+/// engine: the naive and layered-shortest ϕ engines (recursive.h), the
+/// frontier engine's semi-naive driver and fused shortest BFS
+/// (frontier_closure.h) and the automaton baseline
+/// (baseline/automaton_eval.h). The differential
 /// contract — optimized ≡ baseline, including Status and truncation
 /// points — is only as strong as the agreement of their budget edges, so
 /// the edges are specified once, here, and every engine implements this
@@ -39,9 +40,10 @@
 /// fixpoint has not been verified after max_iterations rounds (i.e. round
 /// max_iterations still discovered a new path — including round 0: a
 /// nonempty filtered base with max_iterations == 0 trips, an empty one
-/// does not). The naive, semi-naive and frontier engines agree exactly
-/// on this predicate; the automaton baseline has no fixpoint and does
-/// not consult max_iterations.
+/// does not). For the non-shortest semantics the naive engine and the
+/// frontier driver agree exactly on this predicate. kShortest has no
+/// parity: naive counts rounds, layered trips after 64 × max_iterations
+/// heap pops, the fused BFS never consults it; nor does the baseline.
 ///
 /// **Precedence** — max_paths is checked during enumeration and returns
 /// immediately; the `dropped` flag is only consulted at a completed

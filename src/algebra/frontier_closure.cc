@@ -9,6 +9,7 @@
 #include "algebra/eval_budget.h"
 #include "baseline/nfa.h"
 #include "baseline/product_index.h"
+#include "path/path_index.h"
 
 namespace pathalg {
 
@@ -31,14 +32,20 @@ bool FrontierEligible(const RegexPtr& inner) {
 
 namespace {
 
-/// Walks one full segment — a product traversal of NFA(inner) from a
-/// prefix path's last node to any accepting state — enforcing the
-/// restrictor semantics incrementally over the *whole* path (prefix
-/// included), and reconstructs a Path object only when a walk survives
-/// to an accepting state. A walk that repeats an edge under TRAIL or a
-/// node under ACYCLIC dies at that product step; the doomed candidate is
-/// never materialized. NFA(inner) is closure-free, hence a DAG, so every
-/// segment walk terminates without a depth guard.
+/// A segment source's output: candidate paths with their precomputed
+/// hash, so the chunk bodies pay the hashing in parallel and the merge
+/// is a probe + push per candidate (PathSet::InsertHashed).
+using Candidates = std::vector<std::pair<Path, size_t>>;
+
+/// Segment source over the graph: a segment is one full product walk
+/// through NFA(inner) from a prefix path's last node to any accepting
+/// state, enforcing the restrictor semantics incrementally over the
+/// *whole* path (prefix included) and reconstructing a Path object only
+/// when a walk survives to an accepting state. A walk that repeats an
+/// edge under TRAIL or a node under ACYCLIC dies at that product step;
+/// the doomed candidate is never materialized. NFA(inner) is
+/// closure-free, hence a DAG, so every segment walk terminates without a
+/// depth guard.
 class SegmentWalker {
  public:
   SegmentWalker(const PropertyGraph& g, const Nfa& nfa,
@@ -47,17 +54,16 @@ class SegmentWalker {
       : g_(g), nfa_(nfa), index_(index), semantics_(semantics),
         limits_(limits) {}
 
-  /// Appends every surviving one-segment extension of `prefix` to `out`
-  /// as (path, hash); sets *dropped when an admissible candidate
-  /// exceeded max_path_length (the eval_budget.h predicate).
-  void Extend(const Path& prefix,
-              std::vector<std::pair<Path, size_t>>* out, bool* dropped) {
-    // A closed simple path repeats its endpoint on any extension —
-    // mirror of the semi-naive engine's frontier prune.
-    if (semantics_ == PathSemantics::kSimple && prefix.Len() > 0 &&
-        prefix.First() == prefix.Last()) {
-      return;
-    }
+  /// Round 0 seeds are the graph's nodes: every one-segment path from
+  /// node `i`.
+  void Seed(size_t i, Candidates* out, bool* dropped) {
+    Extend(Path::SingleNode(static_cast<NodeId>(i)), out, dropped);
+  }
+
+  /// Appends every surviving one-segment extension of `prefix` to `out`;
+  /// sets *dropped when an admissible candidate exceeded max_path_length
+  /// (the eval_budget.h predicate).
+  void Extend(const Path& prefix, Candidates* out, bool* dropped) {
     out_ = out;
     dropped_ = dropped;
     nodes_ = prefix.nodes();
@@ -65,8 +71,7 @@ class SegmentWalker {
     Walk(prefix.Last(), nfa_.start());
   }
 
-  size_t states_expanded = 0;
-  size_t paths_reconstructed = 0;
+  FrontierClosureStats counts;
 
  private:
   void Walk(NodeId node, uint32_t state) {
@@ -124,7 +129,7 @@ class SegmentWalker {
     edges_.push_back(e);
 
     for (uint32_t next_state : next_states) {
-      ++states_expanded;
+      ++counts.states_expanded;
       if (nfa_.IsAccepting(next_state)) {
         if (edges_.size() > limits_.max_path_length) {
           // Admissible candidate suppressed by the cap: the walk passed
@@ -148,7 +153,7 @@ class SegmentWalker {
     Path p(nodes_, edges_);
     const size_t h = p.Hash();
     out_->emplace_back(std::move(p), h);
-    ++paths_reconstructed;
+    ++counts.paths_reconstructed;
   }
 
   const PropertyGraph& g_;
@@ -157,7 +162,7 @@ class SegmentWalker {
   const PathSemantics semantics_;
   const EvalLimits& limits_;
 
-  std::vector<std::pair<Path, size_t>>* out_ = nullptr;
+  Candidates* out_ = nullptr;
   bool* dropped_ = nullptr;
   std::vector<NodeId> nodes_;
   std::vector<EdgeId> edges_;
@@ -165,13 +170,60 @@ class SegmentWalker {
   bool stopped_ = false;
 };
 
-/// Non-shortest engine: semi-naive rounds where round r extends every
-/// r-segment result by one product-walked segment. Structure (segment
-/// batching, chunk-order merge, budget checks on the calling thread)
-/// mirrors RecursiveSemiNaive so the two engines share every budget
-/// trip point.
-Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
-                            const ProductIndex& index,
+/// Segment source over a materialized base set: round 0 admits the base
+/// paths themselves, and a segment is one base path whose First() is the
+/// prefix's last node. The index covers the raw base: a base path that
+/// fails the restrictor or the length cap fails every concatenation
+/// containing it too, so only ϕ0's paths ever extend a result.
+class BaseSource {
+ public:
+  BaseSource(const PathSet& base, const PathFirstIndex& index,
+             PathSemantics semantics, const EvalLimits& limits)
+      : base_(base), index_(index), semantics_(semantics),
+        limits_(limits) {}
+
+  void Seed(size_t i, Candidates* out, bool* dropped) const {
+    if (!base_[i].empty() && Admissible(base_[i], dropped)) {
+      out->emplace_back(base_[i], base_.hash_of(i));
+    }
+  }
+
+  void Extend(const Path& prefix, Candidates* out, bool* dropped) const {
+    for (const Path* segment : index_.ForFirst(prefix.Last())) {
+      Path q = Path::ConcatUnchecked(prefix, *segment);
+      if (!Admissible(q, dropped)) continue;
+      const size_t h = q.Hash();
+      out->emplace_back(std::move(q), h);
+    }
+  }
+
+  FrontierClosureStats counts;  // unused: FrontierClosureOverBase has none
+
+ private:
+  // Semantics before length: only *admissible* overlong candidates set
+  // *dropped (the eval_budget.h predicate).
+  bool Admissible(const Path& q, bool* dropped) const {
+    if (!SatisfiesSemantics(q, semantics_)) return false;
+    if (q.Len() <= limits_.max_path_length) return true;
+    *dropped = true;
+    return false;
+  }
+
+  const PathSet& base_;
+  const PathFirstIndex& index_;
+  const PathSemantics semantics_;
+  const EvalLimits& limits_;
+};
+
+/// The one semi-naive round driver for non-shortest ϕ. `make_source()`
+/// builds a chunk-private segment source (SegmentWalker or BaseSource):
+/// round 0 calls Seed(i) for i ∈ [0, num_seeds), round r calls Extend on
+/// every path round r−1 discovered. Dedup, budgets and the next frontier
+/// live on the calling thread, which merges chunk buffers in chunk index
+/// order — results, partial answers and Status are byte-identical at any
+/// thread count, with every trip point of algebra/eval_budget.h.
+template <typename MakeSource>
+Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                             PathSemantics semantics, const EvalLimits& limits,
                             const ParallelOptions& parallel,
                             ParallelStats* parallel_stats,
@@ -184,40 +236,55 @@ Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
   std::vector<size_t> frontier;
   bool dropped = false;
 
+  // Generate-and-merge in segments rather than one round-sized batch:
+  // serial generation stops within one candidate of the max_paths
+  // budget, and materializing a whole round's candidates up front would
+  // forfeit that memory bound. A segment fills exactly one
+  // over-decomposed wave of pool chunks; later segments of a round that
+  // tripped the budget are simply never generated.
   const size_t min_chunk = std::max<size_t>(parallel.min_chunk, 1);
   const size_t segment = std::max<size_t>(
       2 * min_chunk, 8 * parallel.EffectiveThreads() * min_chunk);
 
-  // Expands `take(i)` for i in [0, n) in deterministic segments; merges
-  // every chunk's candidates in chunk index order on this thread, where
-  // the dedup, the max_paths budget and the next-frontier build live.
-  // Returns false when the budget tripped with truncate=true (caller
-  // returns the partial `acc`).
-  auto expand_rounds =
-      [&](size_t n, auto take,
-          std::vector<size_t>* next) -> Result<bool> {
+  // Expands the n seeds (prefixes == nullptr) or the n paths indexed by
+  // *prefixes, appending new paths' indices to *next. Returns false when
+  // the budget tripped with truncate=true (caller returns the partial
+  // `acc`).
+  auto expand = [&](size_t n, const std::vector<size_t>* prefixes,
+                    std::vector<size_t>* next) -> Result<bool> {
     for (size_t seg = 0; seg < n; seg += segment) {
-      // Per-segment cancellation point, mirroring RecursiveSemiNaive.
+      // The per-segment poll bounds both the latency and the wasted work
+      // of a trip, and polling on the merge thread keeps chunk bodies
+      // pure.
       if (CancelRequested(limits.cancel)) {
         return EvalCancelled(*limits.cancel);
       }
       const size_t m = std::min(segment, n - seg);
       const ChunkLayout layout = ThreadPool::PlanFor(m, parallel);
-      std::vector<std::vector<std::pair<Path, size_t>>> candidates(
-          layout.num_chunks);
+      std::vector<Candidates> candidates(layout.num_chunks);
       std::vector<uint8_t> chunk_dropped(layout.num_chunks, 0);
-      std::vector<std::pair<size_t, size_t>> chunk_counts(layout.num_chunks);
+      std::vector<FrontierClosureStats> chunk_counts(layout.num_chunks);
       ThreadPool::Shared().ParallelFor(
           m, parallel, parallel_stats,
           [&](size_t chunk, size_t begin, size_t end) {
-            SegmentWalker walker(g, nfa, index, semantics, limits);
+            auto source = make_source();
             bool mine_dropped = false;
-            for (size_t i = begin; i < end; ++i) {
-              walker.Extend(take(seg + i), &candidates[chunk], &mine_dropped);
+            for (size_t i = seg + begin; i < seg + end; ++i) {
+              if (prefixes == nullptr) {
+                source.Seed(i, &candidates[chunk], &mine_dropped);
+                continue;
+              }
+              const Path& prefix = acc.paths()[(*prefixes)[i]];
+              // A closed simple path repeats its endpoint on any
+              // extension.
+              if (semantics == PathSemantics::kSimple && prefix.Len() > 0 &&
+                  prefix.First() == prefix.Last()) {
+                continue;
+              }
+              source.Extend(prefix, &candidates[chunk], &mine_dropped);
             }
             chunk_dropped[chunk] = mine_dropped ? 1 : 0;
-            chunk_counts[chunk] = {walker.states_expanded,
-                                   walker.paths_reconstructed};
+            chunk_counts[chunk] = source.counts;
           });
       // Walkers that saw the token trip stopped mid-walk, so their chunk
       // buffers may be truncated — return before the merge can mistake
@@ -231,8 +298,8 @@ Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
         // flags before the budget loop cannot change behavior.
         if (chunk_dropped[c] != 0) dropped = true;
         if (stats != nullptr) {
-          stats->states_expanded += chunk_counts[c].first;
-          stats->paths_reconstructed += chunk_counts[c].second;
+          stats->states_expanded += chunk_counts[c].states_expanded;
+          stats->paths_reconstructed += chunk_counts[c].paths_reconstructed;
         }
         for (auto& [q, h] : candidates[c]) {
           if (acc.size() >= limits.max_paths) {
@@ -251,45 +318,34 @@ Result<PathSet> FrontierDfs(const PropertyGraph& g, const Nfa& nfa,
     return true;
   };
 
-  // Round 0 — the base: every 1-segment path, walked from each node in
-  // node order. This is the frontier analog of inserting the filtered
-  // base set, so it is budgeted identically.
-  {
-    PATHALG_ASSIGN_OR_RETURN(
-        bool keep_going,
-        expand_rounds(g.num_nodes(),
-                      [](size_t i) { return Path::SingleNode(NodeId(i)); },
-                      &frontier));
-    if (!keep_going) return acc;
-  }
-
+  // Round 0 — the 1-segment paths, in seed order.
+  PATHALG_ASSIGN_OR_RETURN(bool keep_going,
+                           expand(num_seeds, nullptr, &frontier));
   size_t iterations = 0;
-  while (!frontier.empty()) {
+  while (keep_going && !frontier.empty()) {
     if (++iterations > limits.max_iterations) {
       if (limits.truncate) return acc;
       return BudgetExhausted("max_iterations");
     }
     std::vector<size_t> next;
-    PATHALG_ASSIGN_OR_RETURN(
-        bool keep_going,
-        expand_rounds(
-            frontier.size(),
-            [&](size_t i) -> const Path& { return acc.paths()[frontier[i]]; },
-            &next));
-    if (!keep_going) return acc;
+    PATHALG_ASSIGN_OR_RETURN(keep_going,
+                             expand(frontier.size(), &frontier, &next));
     frontier = std::move(next);
   }
-  if (dropped && !limits.truncate) {
+  if (keep_going && dropped && !limits.truncate) {
     return BudgetExhausted("max_path_length");
   }
   return acc;
 }
 
-/// Shortest engine: per-source product BFS over NFA(inner+) computing
-/// distances on (node, state) pairs, then backward enumeration of every
-/// distance-decreasing product path — Path objects exist only for the
-/// per-pair-minimal survivors. Sources fan out across chunks; chunk
-/// buffers merge in chunk (= node) order.
+/// Shortest engine: per-source product BFS over the determinized
+/// automaton of inner+ computing distances on (node, state) pairs, then
+/// backward enumeration of every distance-decreasing product path — Path
+/// objects exist only for the per-pair-minimal survivors. Determinism
+/// makes the reconstruction exact: a graph path has one run, hence one
+/// product path, so an ambiguous regex (`:a|:a/:a`) never rebuilds a
+/// path once per NFA state sequence. Sources fan out across chunks;
+/// chunk buffers merge in chunk (= node) order.
 class ShortestSource {
  public:
   ShortestSource(const PropertyGraph& g, const Nfa& nfa,
@@ -298,7 +354,7 @@ class ShortestSource {
         num_states_(nfa.num_states()),
         dist_(g.num_nodes() * nfa.num_states(), kInf) {}
 
-  void Run(NodeId source, std::vector<std::pair<Path, size_t>>* out) {
+  void Run(NodeId source, Candidates* out) {
     out_ = out;
     source_ = source;
     std::fill(dist_.begin(), dist_.end(), kInf);
@@ -316,7 +372,7 @@ class ShortestSource {
         for (EdgeId e : g_.OutEdgesWithLabel(node, arc.label)) {
           const NodeId next = g_.Target(e);
           for (uint32_t ns : arc.states) {
-            ++states_expanded;
+            ++counts.states_expanded;
             if (dist_[Key(next, ns)] == kInf) {
               dist_[Key(next, ns)] = d + 1;
               queue.push({next, ns});
@@ -354,8 +410,7 @@ class ShortestSource {
   /// the remaining sources of its chunk.
   bool stopped() const { return stopped_; }
 
-  size_t states_expanded = 0;
-  size_t paths_reconstructed = 0;
+  FrontierClosureStats counts;
 
  private:
   static constexpr size_t kInf = std::numeric_limits<size_t>::max();
@@ -389,7 +444,7 @@ class ShortestSource {
         const NodeId prev = g_.Source(e);
         for (uint32_t ps : arc.states) {
           if (dist_[Key(prev, ps)] != d - 1) continue;
-          ++states_expanded;
+          ++counts.states_expanded;
           nodes_suffix_.push_back(prev);
           edges_suffix_.push_back(e);
           Backtrack(prev, ps, d - 1);
@@ -403,7 +458,7 @@ class ShortestSource {
   void EmitSurvivor(Path p) {
     const size_t h = p.Hash();
     out_->emplace_back(std::move(p), h);
-    ++paths_reconstructed;
+    ++counts.paths_reconstructed;
   }
 
   const PropertyGraph& g_;
@@ -413,7 +468,7 @@ class ShortestSource {
   const size_t num_states_;
   std::vector<size_t> dist_;
 
-  std::vector<std::pair<Path, size_t>>* out_ = nullptr;
+  Candidates* out_ = nullptr;
   NodeId source_ = 0;
   // Backtrack working state (stored target-to-source, reversed on emit).
   std::vector<NodeId> nodes_suffix_;
@@ -427,13 +482,13 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
                                  const ParallelOptions& parallel,
                                  ParallelStats* parallel_stats,
                                  FrontierClosureStats* stats) {
-  const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner));
+  const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner)).Determinized();
   const ProductIndex index(g, nfa);
 
   const size_t n = g.num_nodes();
   const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
-  std::vector<std::vector<std::pair<Path, size_t>>> results(layout.num_chunks);
-  std::vector<std::pair<size_t, size_t>> chunk_counts(layout.num_chunks);
+  std::vector<Candidates> results(layout.num_chunks);
+  std::vector<FrontierClosureStats> chunk_counts(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
       n, parallel, parallel_stats, [&](size_t chunk, size_t begin, size_t end) {
         ShortestSource bfs(g, nfa, index, limits);
@@ -441,7 +496,7 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
           if (bfs.stopped()) break;
           bfs.Run(static_cast<NodeId>(src), &results[chunk]);
         }
-        chunk_counts[chunk] = {bfs.states_expanded, bfs.paths_reconstructed};
+        chunk_counts[chunk] = bfs.counts;
       });
   // Cancellation discards every chunk's (possibly truncated) output.
   if (CancelRequested(limits.cancel)) return EvalCancelled(*limits.cancel);
@@ -449,8 +504,8 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
   PathSet out;
   for (size_t c = 0; c < layout.num_chunks; ++c) {
     if (stats != nullptr) {
-      stats->states_expanded += chunk_counts[c].first;
-      stats->paths_reconstructed += chunk_counts[c].second;
+      stats->states_expanded += chunk_counts[c].states_expanded;
+      stats->paths_reconstructed += chunk_counts[c].paths_reconstructed;
     }
     for (auto& [q, h] : results[c]) {
       if (out.ContainsHashed(q, h)) continue;  // duplicates never trip
@@ -482,8 +537,26 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
   }
   const Nfa nfa = Nfa::FromRegex(inner);
   const ProductIndex index(g, nfa);
-  return FrontierDfs(g, nfa, index, semantics, limits, parallel,
-                     parallel_stats, stats);
+  return FrontierDfs(
+      g.num_nodes(),
+      [&] { return SegmentWalker(g, nfa, index, semantics, limits); },
+      semantics, limits, parallel, parallel_stats, stats);
+}
+
+Result<PathSet> FrontierClosureOverBase(const PathSet& base,
+                                        PathSemantics semantics,
+                                        const EvalLimits& limits,
+                                        const ParallelOptions& parallel,
+                                        ParallelStats* parallel_stats) {
+  if (semantics == PathSemantics::kShortest) {
+    return Status::InvalidArgument(
+        "the frontier engine's base source has no shortest mode");
+  }
+  const PathFirstIndex index(base);
+  return FrontierDfs(
+      base.size(),
+      [&] { return BaseSource(base, index, semantics, limits); }, semantics,
+      limits, parallel, parallel_stats, /*stats=*/nullptr);
 }
 
 }  // namespace pathalg

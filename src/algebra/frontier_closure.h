@@ -14,15 +14,15 @@
 /// was built and filtered), and Path objects are reconstructed only for
 /// accepting survivors.
 ///
-/// Round structure mirrors RecursiveSemiNaive exactly: round r extends
-/// every (r)-segment result by one full segment — a product walk through
-/// NFA(inner) from the path's last node to an accepting state — so the
-/// max_iterations trip predicate is identical to the semi-naive engine's
-/// (see algebra/eval_budget.h for the full budget contract). kShortest
-/// instead runs a product BFS over NFA(inner+) per source node and
-/// reconstructs all per-pair minimal paths backwards along
-/// distance-decreasing product edges; it never consults max_iterations
-/// (its depth is already bounded by max_path_length).
+/// One semi-naive round driver serves every non-shortest ϕ, fed by one
+/// of two segment sources: the NFA walker above, or a materialized base
+/// set (FrontierClosureOverBase). Round 0 seeds the 1-segment paths and
+/// round r extends every path round r−1 found by one more segment, so
+/// the max_iterations trip predicate is the naive engine's
+/// (algebra/eval_budget.h). kShortest instead runs a product BFS over the
+/// determinized automaton of inner+ per source node and reconstructs all
+/// per-pair minimal paths backwards along distance-decreasing product
+/// edges; it never consults max_iterations (max_path_length bounds it).
 ///
 /// Parallel execution keeps the repo's determinism contract: the
 /// non-shortest rounds chunk the frontier (each chunk walks its paths'
@@ -38,8 +38,9 @@
 /// pruning never kills a prefix of a surviving candidate; for shortest,
 /// every segment of a globally minimal composition is segment-minimal
 /// (replacement argument), so the product BFS's minima are the closure's
-/// minima; walk is unrestricted. Checked against RecursiveSemiNaive and
-/// the automaton baseline by tests/frontier_differential_test.cc.
+/// minima; walk is unrestricted. Checked against the materialized-base
+/// source, the naive engine and the automaton baseline by
+/// tests/frontier_differential_test.cc.
 
 #include "algebra/recursive.h"
 #include "common/result.h"
@@ -78,6 +79,15 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g,
                                 const ParallelOptions& parallel = {},
                                 ParallelStats* parallel_stats = nullptr,
                                 FrontierClosureStats* stats = nullptr);
+
+/// Semi-naive ϕ_semantics(base), the kOptimized Recursive for every
+/// semantics but kShortest (InvalidArgument): round 0 admits the base
+/// paths in base order, round r appends one base path to each path
+/// round r−1 found.
+Result<PathSet> FrontierClosureOverBase(
+    const PathSet& base, PathSemantics semantics,
+    const EvalLimits& limits = {}, const ParallelOptions& parallel = {},
+    ParallelStats* parallel_stats = nullptr);
 
 }  // namespace pathalg
 

@@ -1,11 +1,11 @@
 #include "algebra/recursive.h"
 
-#include <algorithm>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "algebra/eval_budget.h"
+#include "algebra/frontier_closure.h"
 #include "common/hash.h"
 #include "path/path_index.h"
 
@@ -99,7 +99,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
   // The budget trips iff the fixpoint is not *verified* within
   // max_iterations rounds — a nonempty ϕ0 needs round 1 to verify even an
   // immediate fixpoint, while ϕ0 = ∅ is a fixpoint with zero rounds. This
-  // matches the semi-naive engine's nonempty-frontier loop exactly
+  // matches the frontier engine's nonempty-frontier loop exactly
   // (eval_budget.h).
   bool grew = !acc.empty();
   size_t rounds = 0;
@@ -157,133 +157,6 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     return BudgetExhausted("max_path_length");
   }
   return shortest ? KeepShortestPerEndpointPair(acc) : acc;
-}
-
-// ---------------------------------------------------------------------------
-// Optimized engine, non-shortest: semi-naive frontier expansion. Each round
-// extends only the paths discovered in the previous round, which generates
-// every composition exactly once.
-//
-// Under parallel execution only the round's candidate generation (extend +
-// length filter + restrictor filter — a pure function of the frontier and
-// the base index) fans out, chunked over the frontier. Dedup against `acc`,
-// the max_paths budget and the next-frontier build stay on the calling
-// thread, merging chunks in index order — the serial enumeration order —
-// so results, partial answers and Status are byte-identical at any thread
-// count.
-// ---------------------------------------------------------------------------
-Result<PathSet> RecursiveSemiNaive(const PathSet& base,
-                                   PathSemantics semantics,
-                                   const EvalLimits& limits,
-                                   const ParallelOptions& parallel,
-                                   ParallelStats* parallel_stats) {
-  PathSet acc;
-  std::vector<Path> frontier;
-  bool dropped = false;
-  for (const Path& p : base) {
-    if (p.empty()) continue;
-    // Semantics before length: only *admissible* overlong candidates set
-    // `dropped` (the eval_budget.h predicate).
-    if (!SatisfiesSemantics(p, semantics)) continue;
-    if (p.Len() > limits.max_path_length) {
-      dropped = true;
-      continue;
-    }
-    if (acc.Contains(p)) continue;  // duplicates never trip the budget
-    if (acc.size() >= limits.max_paths) {
-      if (limits.truncate) return acc;
-      return BudgetExhausted("max_paths");
-    }
-    acc.Insert(p);
-    frontier.push_back(p);
-  }
-  std::vector<Path> base_paths(acc.begin(), acc.end());
-  // CSR-style dense index of ϕ0 by First(p): the frontier loop probes it
-  // once per frontier path, so an array index beats a hash lookup.
-  PathFirstIndex index(base_paths);
-
-  size_t iterations = 0;
-  while (!frontier.empty()) {
-    if (++iterations > limits.max_iterations) {
-      if (limits.truncate) return acc;
-      return BudgetExhausted("max_iterations");
-    }
-    // Generate-and-merge in deterministic frontier *segments* rather than
-    // one frontier-sized batch: serial generation stops within one
-    // candidate of the max_paths budget, and materializing a whole
-    // round's candidates up front would forfeit that memory bound (a
-    // round can be |frontier| × bucket-size candidates). A segment fills
-    // exactly one over-decomposed wave of pool chunks; the merge between
-    // segments hits the budget at the same candidate the serial loop
-    // would, so output and Status are unchanged — later segments are
-    // simply never generated.
-    const size_t min_chunk = std::max<size_t>(parallel.min_chunk, 1);
-    const size_t segment = std::max<size_t>(
-        2 * min_chunk, 8 * parallel.EffectiveThreads() * min_chunk);
-    std::vector<Path> next;
-    for (size_t seg = 0; seg < frontier.size(); seg += segment) {
-      // The per-segment poll is the semi-naive engine's cancellation
-      // point: segments bound both the latency and the wasted work of a
-      // trip, and polling on the merge thread keeps chunk bodies pure.
-      if (CancelRequested(limits.cancel)) {
-        return EvalCancelled(*limits.cancel);
-      }
-      const size_t n = std::min(segment, frontier.size() - seg);
-      const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
-      // Candidates travel with their precomputed hash: the chunk bodies
-      // pay the hashing cost in parallel, so the serial merge below is a
-      // probe + push per candidate (PathSet::InsertHashed).
-      std::vector<std::vector<std::pair<Path, size_t>>> candidates(
-          layout.num_chunks);
-      std::vector<uint8_t> chunk_dropped(layout.num_chunks, 0);
-      ThreadPool::Shared().ParallelFor(
-          n, parallel, parallel_stats,
-          [&](size_t chunk, size_t begin, size_t end) {
-            std::vector<std::pair<Path, size_t>>& mine = candidates[chunk];
-            for (size_t i = begin; i < end; ++i) {
-              const Path& p1 = frontier[seg + i];
-              // A closed simple path repeats its endpoint on any
-              // extension.
-              if (semantics == PathSemantics::kSimple && p1.Len() > 0 &&
-                  p1.First() == p1.Last()) {
-                continue;
-              }
-              for (const Path* p2 : index.ForFirst(p1.Last())) {
-                Path q = Path::ConcatUnchecked(p1, *p2);
-                // Semantics before length: only *admissible* overlong
-                // candidates set `dropped` (the eval_budget.h predicate).
-                if (!SatisfiesSemantics(q, semantics)) continue;
-                if (q.Len() > limits.max_path_length) {
-                  chunk_dropped[chunk] = 1;
-                  continue;
-                }
-                const size_t h = q.Hash();
-                mine.emplace_back(std::move(q), h);
-              }
-            }
-          });
-      for (size_t c = 0; c < layout.num_chunks; ++c) {
-        // `dropped` is only consulted at the natural fixpoint, never on a
-        // budget return, so folding chunk flags before the budget loop
-        // cannot change behavior.
-        if (chunk_dropped[c] != 0) dropped = true;
-        for (auto& [q, h] : candidates[c]) {
-          if (acc.ContainsHashed(q, h)) continue;  // duplicates never trip
-          if (acc.size() >= limits.max_paths) {
-            if (limits.truncate) return acc;
-            return BudgetExhausted("max_paths");
-          }
-          next.push_back(q);
-          acc.InsertHashed(std::move(q), h);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  if (dropped && !limits.truncate) {
-    return BudgetExhausted("max_path_length");
-  }
-  return acc;
 }
 
 // ---------------------------------------------------------------------------
@@ -400,8 +273,8 @@ Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
   if (semantics == PathSemantics::kShortest) {
     return RecursiveShortestLayered(base, limits, parallel, parallel_stats);
   }
-  return RecursiveSemiNaive(base, semantics, limits, parallel,
-                            parallel_stats);
+  return FrontierClosureOverBase(base, semantics, limits, parallel,
+                                 parallel_stats);
 }
 
 PathSet RestrictPaths(const PathSet& s, PathSemantics semantics) {

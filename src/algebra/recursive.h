@@ -15,16 +15,18 @@
 /// Two engines are provided: `kNaive` follows Definition 4.1 literally
 /// (each round joins the full accumulated set with the base set), and
 /// `kOptimized` uses semi-naive frontier expansion (trail/acyclic/simple/
-/// walk) or length-layered best-first search (shortest). The two are
-/// checked equal by differential tests; bench/phi_ablation measures the gap.
+/// walk) — the frontier engine's round driver fed by the base set
+/// (FrontierClosureOverBase, algebra/frontier_closure.h) — or
+/// length-layered best-first search (shortest). The engines are checked
+/// equal by differential tests; bench/phi_ablation measures the gap.
 ///
-/// The optimized engine optionally fans each round's expansion out over
+/// The optimized engines optionally fan each round's expansion out over
 /// the chunked work-stealing pool (common/thread_pool.h). Parallel output
 /// is byte-identical to serial at any thread count — candidate generation
 /// (extend + filter) is chunked, while dedup, budget checks and result
 /// insertion run on the calling thread in chunk order, which is exactly
 /// the serial enumeration order. kNaive stays intentionally serial: it is
-/// the reference the parallel engine is differentially tested against.
+/// the reference the parallel engines are differentially tested against.
 
 #include <cstddef>
 

@@ -1,5 +1,7 @@
 #include "baseline/nfa.h"
 
+#include <map>
+#include <set>
 #include <unordered_set>
 
 namespace pathalg {
@@ -102,6 +104,35 @@ Nfa Nfa::FromRegex(const RegexPtr& regex) {
     }
   }
   return nfa;
+}
+
+Nfa Nfa::Determinized() const {
+  std::map<std::set<uint32_t>, uint32_t> ids;
+  std::vector<std::set<uint32_t>> subsets;
+  auto intern = [&](const std::set<uint32_t>& subset) {
+    auto [it, inserted] =
+        ids.emplace(subset, static_cast<uint32_t>(subsets.size()));
+    if (inserted) subsets.push_back(subset);
+    return it->second;
+  };
+  intern({start_});
+  Nfa dfa;
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    bool accepting = false;
+    std::map<std::string, std::set<uint32_t>> moves;
+    for (uint32_t s : subsets[i]) {
+      accepting = accepting || accepting_[s];
+      for (const Transition& tr : transitions_[s]) {
+        moves[tr.label].insert(tr.next);
+      }
+    }
+    dfa.accepting_.push_back(accepting);
+    dfa.transitions_.emplace_back();
+    for (const auto& [label, next] : moves) {
+      dfa.transitions_.back().push_back({label, intern(next)});
+    }
+  }
+  return dfa;
 }
 
 bool Nfa::Matches(const std::vector<std::string>& word) const {

@@ -35,6 +35,11 @@ class Nfa {
     return transitions_[state];
   }
 
+  /// Subset construction over the reachable subsets: the same language
+  /// with at most one transition per (state, label), so every word has
+  /// one run. States are numbered in discovery order (start = 0).
+  Nfa Determinized() const;
+
   /// Language membership test for a word of edge labels; used by tests to
   /// cross-check the construction against direct regex matching.
   bool Matches(const std::vector<std::string>& word) const;

@@ -231,9 +231,11 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
   // a closure-free regex, skip evaluating it (the base set is never
   // materialized) and run the product-automaton frontier engine instead.
   // Unlike the label-scan fast path the collapsed children are *not*
-  // booked into op_count — no operator ran for them.
+  // booked into op_count — no operator ran for them. An ineligible ϕ
+  // materializes its child and runs the same round driver over it
+  // (Recursive → FrontierClosureOverBase).
   if (node.kind() == PlanKind::kRecursive &&
-      options.engine == PhiEngine::kOptimized && options.fuse_closures) {
+      options.engine == PhiEngine::kOptimized) {
     if (RegexPtr inner = ReconstructRegex(*node.children()[0]);
         inner != nullptr && FrontierEligible(inner)) {
       const SteadyClock::time_point own_start = SteadyClock::now();

@@ -79,6 +79,11 @@ struct EvalStats {
 /// Evaluation knobs threaded through every ϕ in the plan.
 struct EvalOptions {
   EvalLimits limits;
+  /// kOptimized answers a kRecursive node whose child subtree is the
+  /// compiled form of a closure-free regex with the NFA-fused frontier
+  /// engine (algebra/frontier_closure.h), never materializing the base
+  /// set; any other ϕ evaluates its child and runs Recursive. kNaive runs
+  /// Definition 4.1 literally on every ϕ — the unfused reference.
   PhiEngine engine = PhiEngine::kOptimized;
   /// Worker threads for σ/⋈/ϕ (common/thread_pool.h): 1 = serial (the
   /// default; never touches the pool), 0 = hardware concurrency. Parallel
@@ -88,13 +93,6 @@ struct EvalOptions {
   /// Inputs smaller than 2*min_chunk stay serial; every chunk except
   /// possibly the last holds at least min_chunk items.
   size_t min_chunk = 128;
-  /// Fuse eligible ϕ subtrees into the NFA-driven frontier engine
-  /// (algebra/frontier_closure.h): a kRecursive node whose child subtree
-  /// is the compiled form of a closure-free regex is answered by product-
-  /// automaton expansion without materializing the base set. Set-equal
-  /// results and identical budget Status either way (the differential
-  /// fuzz pins both); only applies under PhiEngine::kOptimized.
-  bool fuse_closures = true;
   /// Optional stats collector (not owned; may be null). When set, Evaluate
   /// resets and fills it — including on error, so callers can attribute the
   /// cost of failed evaluations.

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "baseline/automaton_eval.h"
 #include "baseline/nfa.h"
 #include "regex/parser.h"
@@ -64,6 +68,41 @@ TEST(NfaTest, PaperPattern) {
   EXPECT_FALSE(nfa.Matches({"Likes"}));
   EXPECT_FALSE(nfa.Matches({"Knows", "Likes", "Has_creator"}));
   EXPECT_FALSE(nfa.Matches({}));
+}
+
+TEST(NfaTest, DeterminizedAcceptsTheSameWordsWithOneRunEach) {
+  // Ambiguous regexes — several state sequences spell one word — plus
+  // nested closures and ε-accepting ones.
+  for (const char* text :
+       {":a", "(:a|:a/:a)+", "(:a|:a/:b)/(:b|:b/:c)", "((:a+)/:b)+",
+        "(:a/:b)*|(:a|:c)+", ":a?/:a?/:b"}) {
+    const Nfa nfa = Nfa::FromRegex(MustParse(text));
+    const Nfa dfa = nfa.Determinized();
+    for (uint32_t s = 0; s < dfa.num_states(); ++s) {
+      std::set<std::string> labels;
+      for (const Nfa::Transition& tr : dfa.TransitionsFrom(s)) {
+        EXPECT_TRUE(labels.insert(tr.label).second)
+            << text << ": state " << s << " has two '" << tr.label
+            << "' transitions";
+      }
+    }
+    // Every word over {a, b, c} up to length 6.
+    const std::vector<std::string> alphabet = {"a", "b", "c"};
+    std::vector<std::vector<std::string>> layer = {{}};
+    for (int len = 0; len <= 6; ++len) {
+      std::vector<std::vector<std::string>> longer;
+      for (const std::vector<std::string>& word : layer) {
+        EXPECT_EQ(dfa.Matches(word), nfa.Matches(word))
+            << text << ": word of length " << len;
+        if (len == 6) continue;
+        for (const std::string& l : alphabet) {
+          longer.push_back(word);
+          longer.back().push_back(l);
+        }
+      }
+      layer = std::move(longer);
+    }
+  }
 }
 
 class AutomatonEvalTest : public ::testing::Test {

@@ -208,11 +208,11 @@ TEST(QueryEngineTest, PointReadShapesSeekInsteadOfScanning) {
   ASSERT_TRUE(graph.ok()) << graph.status();
   auto shared = std::make_shared<const PropertyGraph>(std::move(*graph));
   QueryEngine eng(shared);
-  // Reference: the literal reading — unoptimized plan, naive ϕ, no fusion.
+  // Reference: the literal reading — unoptimized plan, naive ϕ (which
+  // never fuses).
   EngineOptions literal;
   literal.query.optimize = false;
   literal.query.eval.engine = PhiEngine::kNaive;
-  literal.query.eval.fuse_closures = false;
   QueryEngine reference(shared, literal);
   size_t answers = 0;
   for (const char* person : {"person0", "person17", "person399"}) {

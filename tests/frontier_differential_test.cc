@@ -3,7 +3,9 @@
 /// (algebra/frontier_closure.h) against the materializing ϕ engines and
 /// the automaton baseline:
 ///
-///   FrontierClosure(g, r, sem)  ≡  ϕ_sem(Eval(compile(r)))   (semi-naive,
+///   FrontierClosure(g, r, sem)  ≡  ϕ_sem(Eval(compile(r)))   (base source
+///                                                             or layered
+///                                                             shortest,
 ///                                                             naive)
 ///                               ≡  EvaluateRpqAutomaton(g, r+)
 ///
@@ -14,7 +16,9 @@
 /// be byte-equal across engines (the trip predicates are pure functions
 /// of the query, never of enumeration order), truncated partial answers
 /// must have exactly min(max_paths, |answer|) paths and be subsets of the
-/// full answer. Suite names carry "Differential" so the TSan CI lane's
+/// full answer. Nested closures, which fall back to the base source, are
+/// checked against the all-naive evaluation. Suite names carry
+/// "Differential" so the TSan CI lane's
 /// `ctest -R Differential` regex picks every case up.
 
 #include <gtest/gtest.h>
@@ -86,7 +90,7 @@ std::string Describe(uint64_t seed, const RegexPtr& inner,
 class FrontierDifferentialTest
     : public ::testing::TestWithParam<PathSemantics> {};
 
-// --- Satellite 4: frontier ≡ semi-naive ≡ baseline, t-sweep identity ----
+// --- Satellite 4: fused ≡ base source ≡ baseline, t-sweep identity -----
 
 TEST_P(FrontierDifferentialTest, MatchesSemiNaiveAndBaselineFuzz) {
   const PathSemantics semantics = GetParam();
@@ -106,15 +110,22 @@ TEST_P(FrontierDifferentialTest, MatchesSemiNaiveAndBaselineFuzz) {
     const std::string ctx = Describe(seed, inner, semantics);
     ASSERT_TRUE(FrontierEligible(inner)) << ctx;
 
-    auto frontier = FrontierClosure(g, inner, semantics, limits, Par(1));
+    FrontierClosureStats fstats;
+    auto frontier = FrontierClosure(g, inner, semantics, limits, Par(1),
+                                    nullptr, &fstats);
     ASSERT_TRUE(frontier.ok()) << ctx << ": " << frontier.status().ToString();
+    if (semantics == PathSemantics::kShortest) {
+      // The BFS runs on a deterministic automaton, so a graph path has one
+      // product path and is reconstructed once however ambiguous `inner`.
+      EXPECT_EQ(fstats.paths_reconstructed, frontier->size()) << ctx;
+    }
 
     auto semi = MaterializedPhi(g, inner, semantics, limits,
                                 PhiEngine::kOptimized);
     ASSERT_TRUE(semi.ok()) << ctx << ": " << semi.status().ToString();
-    EXPECT_EQ(*frontier, *semi) << ctx << ": frontier ("
-                                << frontier->size() << " paths) != semi-naive ("
-                                << semi->size() << " paths)";
+    EXPECT_EQ(*frontier, *semi)
+        << ctx << ": frontier (" << frontier->size()
+        << " paths) != base source (" << semi->size() << " paths)";
 
     AutomatonEvalOptions aopts;
     aopts.semantics = semantics;
@@ -141,6 +152,36 @@ TEST_P(FrontierDifferentialTest, MatchesSemiNaiveAndBaselineFuzz) {
       EXPECT_EQ(bt->paths(), baseline->paths())
           << ctx << ": baseline t=" << t << " diverged from t=1";
     }
+  }
+}
+
+TEST(FrontierDifferentialTest, ShortestAmbiguousInnerReconstructsEachPathOnce) {
+  // (:a|:a/:a)+ spells a k-edge chain path in fib(k+1) ways. Backtracking
+  // over a nondeterministic automaton rebuilds one copy per spelling (960
+  // paths for the 66-path answer at n = 12, exponential in n); each
+  // answer path must be rebuilt exactly once.
+  const RegexPtr a = RegexNode::Label("a");
+  const RegexPtr inner = RegexNode::Union(a, RegexNode::Concat(a, a));
+  for (size_t n : {12u, 40u}) {
+    const PropertyGraph g = MakeChainGraph(n, "a");
+    const std::string ctx = "chain n=" + std::to_string(n);
+    FrontierClosureStats stats;
+    auto fused = FrontierClosure(g, inner, PathSemantics::kShortest, {},
+                                 Par(1), nullptr, &stats);
+    ASSERT_TRUE(fused.ok()) << ctx << ": " << fused.status().ToString();
+    EXPECT_EQ(fused->size(), n * (n - 1) / 2) << ctx;
+    // ASSERT: a regression must stop at n = 12, where the per-spelling
+    // rebuild is still small, not run on into n = 40's exponential one.
+    ASSERT_EQ(stats.paths_reconstructed, fused->size()) << ctx;
+
+    auto layered = MaterializedPhi(g, inner, PathSemantics::kShortest, {},
+                                   PhiEngine::kOptimized);
+    auto naive = MaterializedPhi(g, inner, PathSemantics::kShortest, {},
+                                 PhiEngine::kNaive);
+    ASSERT_TRUE(layered.ok()) << ctx << ": " << layered.status().ToString();
+    ASSERT_TRUE(naive.ok()) << ctx << ": " << naive.status().ToString();
+    EXPECT_EQ(*fused, *layered) << ctx;
+    EXPECT_EQ(*fused, *naive) << ctx;
   }
 }
 
@@ -174,8 +215,8 @@ void ExpectBudgetParity(const PropertyGraph& g, PathSemantics semantics,
   std::vector<Run> runs;
   runs.push_back({"naive", MaterializedPhi(g, atom, semantics, limits,
                                            PhiEngine::kNaive)});
-  runs.push_back({"semi-naive", MaterializedPhi(g, atom, semantics, limits,
-                                                PhiEngine::kOptimized)});
+  runs.push_back({"optimized", MaterializedPhi(g, atom, semantics, limits,
+                                               PhiEngine::kOptimized)});
   runs.push_back(
       {"frontier", FrontierClosure(g, atom, semantics, limits, Par(1))});
   runs.push_back({"baseline",
@@ -209,7 +250,7 @@ TEST(FrontierDifferentialBudgetTest, ExactMaxPathsEdgeCases) {
   const RegexPtr atom = RegexNode::Label("a");
   for (PathSemantics semantics :
        {PathSemantics::kWalk, PathSemantics::kTrail, PathSemantics::kAcyclic,
-        PathSemantics::kSimple}) {
+        PathSemantics::kSimple, PathSemantics::kShortest}) {
     for (uint64_t seed = 1; seed <= 12; ++seed) {
       // DAGs keep every WALK answer finite without leaning on the cap.
       const PropertyGraph g = TrialGraph(seed, /*force_acyclic=*/true);
@@ -242,7 +283,8 @@ TEST(FrontierDifferentialBudgetTest, ExactMaxPathsEdgeCases) {
 
 TEST(FrontierDifferentialBudgetTest, ExactMaxIterationsEdgeCases) {
   // max_iterations is a fixpoint-round budget; the automaton baseline has
-  // no fixpoint and is excluded (eval_budget.h). After r surviving rounds
+  // no fixpoint and is excluded, and kShortest is outside its parity
+  // contract (eval_budget.h). After r surviving rounds
   // all three algebra engines hold exactly the ≤(r+1)-segment
   // compositions, so truncated partial answers are set-equal too.
   const RegexPtr atom = RegexNode::Label("a");
@@ -383,11 +425,9 @@ TEST(FrontierDifferentialTest, FusedEvaluatorMatchesUnfused) {
       fused.limits.truncate = true;
       EvalStats stats;
       fused.stats = &stats;
-      EvalOptions unfused = fused;
-      unfused.fuse_closures = false;
-      unfused.stats = nullptr;
 
-      auto without = Evaluate(g, plan, unfused);
+      auto without = MaterializedPhi(g, inner, semantics, fused.limits,
+                                     PhiEngine::kOptimized);
       auto with = Evaluate(g, plan, fused);
       ASSERT_EQ(with.status().ToString(), without.status().ToString()) << ctx;
       ASSERT_TRUE(with.ok()) << ctx << ": " << with.status().ToString();
@@ -404,32 +444,61 @@ TEST(FrontierDifferentialTest, FusedEvaluatorMatchesUnfused) {
 }
 
 TEST(FrontierDifferentialTest, IneligiblePlansFallBackToMaterializingPhi) {
-  // ((:a)+)+ — the OUTER ϕ's child subtree is itself a kRecursive, which
-  // fusion rejects, so the outer node must fall back to materializing ϕ;
-  // the inner ϕ(:a) is eligible and still fuses. Results must agree with
-  // fuse_closures=false either way.
-  const PropertyGraph g = MakeChainGraph(5, "a");
-  const RegexPtr nested = RegexNode::Plus(RegexNode::Plus(
-      RegexNode::Label("a")));
-  CompileOptions copts;
-  copts.semantics = PathSemantics::kTrail;
-  const PlanPtr plan = CompileRegex(nested, copts);
+  // ((r1)+/r2)+ — the OUTER ϕ's child subtree holds a kRecursive, which
+  // fusion rejects, so the outer ϕ materializes its child and runs the
+  // base source — and (r1)*, compiled to ϕ(r1) ∪ Nodes. In both only the
+  // inner ϕ(r1) fuses. Results must be set-equal to the all-naive
+  // evaluation and byte-identical across thread counts.
+  for (PathSemantics semantics :
+       {PathSemantics::kWalk, PathSemantics::kTrail, PathSemantics::kAcyclic,
+        PathSemantics::kSimple}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      std::mt19937_64 rng(seed * 6151 + static_cast<uint64_t>(semantics));
+      const PropertyGraph g = TrialGraph(
+          seed, /*force_acyclic=*/semantics == PathSemantics::kWalk);
+      const RegexPtr r1 = RandomClosureFreeRegex(rng, 1);
+      const RegexPtr r2 = RandomClosureFreeRegex(rng, 1);
+      for (const RegexPtr& regex :
+           {RegexNode::Plus(RegexNode::Concat(RegexNode::Plus(r1), r2)),
+            RegexNode::Star(r1)}) {
+        const std::string ctx = "seed " + std::to_string(seed) + " regex `" +
+                                regex->ToString() + "` semantics " +
+                                PathSemanticsToString(semantics);
+        CompileOptions copts;
+        copts.semantics = semantics;
+        const PlanPtr plan = CompileRegex(regex, copts);
 
-  EvalOptions fused;
-  EvalStats stats;
-  fused.stats = &stats;
-  EvalOptions unfused = fused;
-  unfused.fuse_closures = false;
-  unfused.stats = nullptr;
+        EvalOptions naive;
+        naive.engine = PhiEngine::kNaive;
+        naive.limits.max_path_length = 6;
+        naive.limits.truncate = true;
+        auto expected = Evaluate(g, plan, naive);
+        ASSERT_TRUE(expected.ok()) << ctx << ": "
+                                   << expected.status().ToString();
 
-  auto with = Evaluate(g, plan, fused);
-  auto without = Evaluate(g, plan, unfused);
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  ASSERT_TRUE(without.ok()) << without.status().ToString();
-  EXPECT_EQ(*with, *without);
-  // Exactly the inner ϕ fused; the outer one ran the materializing engine.
-  EXPECT_EQ(stats.fused_closure_hits, 1u);
-  EXPECT_GT(stats.op_count[static_cast<size_t>(PlanKind::kRecursive)], 1u);
+        std::vector<Path> serial;
+        for (size_t t : {1u, 2u, 4u, 8u}) {
+          EvalOptions opts = naive;
+          opts.engine = PhiEngine::kOptimized;
+          opts.threads = t;
+          opts.min_chunk = 1;
+          EvalStats stats;
+          opts.stats = &stats;
+          auto got = Evaluate(g, plan, opts);
+          ASSERT_TRUE(got.ok()) << ctx << " t=" << t << ": "
+                                << got.status().ToString();
+          EXPECT_EQ(*got, *expected) << ctx << " t=" << t;
+          EXPECT_EQ(stats.fused_closure_hits, 1u) << ctx << " t=" << t;
+          if (t == 1) {
+            serial = got->paths();
+          } else {
+            EXPECT_EQ(got->paths(), serial)
+                << ctx << ": t=" << t << " diverged from t=1";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
