@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -32,10 +33,24 @@ bool FrontierEligible(const RegexPtr& inner) {
 
 namespace {
 
-/// A segment source's output: candidate paths with their precomputed
-/// hash, so the chunk bodies pay the hashing in parallel and the merge
-/// is a probe + push per candidate (PathSet::InsertHashed).
-using Candidates = std::vector<std::pair<Path, size_t>>;
+/// One chunk's output: hashed candidates (the merge is then a probe + push
+/// each, PathSet::InsertHashed), the eval_budget.h `dropped` flag, and
+/// product counters, which only the NFA-fused sources advance.
+struct ChunkOutput {
+  std::vector<std::pair<Path, size_t>> candidates;
+  bool dropped = false;
+  FrontierClosureStats counts;
+};
+
+/// Restrictor before length: only *admissible* overlong candidates set
+/// *dropped (the eval_budget.h predicate).
+bool Admissible(const Path& q, PathSemantics semantics,
+                const EvalLimits& limits, bool* dropped) {
+  if (!SatisfiesSemantics(q, semantics)) return false;
+  if (q.Len() <= limits.max_path_length) return true;
+  *dropped = true;
+  return false;
+}
 
 /// Segment source over the graph: a segment is one full product walk
 /// through NFA(inner) from a prefix path's last node to any accepting
@@ -56,22 +71,17 @@ class SegmentWalker {
 
   /// Round 0 seeds are the graph's nodes: every one-segment path from
   /// node `i`.
-  void Seed(size_t i, Candidates* out, bool* dropped) {
-    Extend(Path::SingleNode(static_cast<NodeId>(i)), out, dropped);
+  void Seed(size_t i, ChunkOutput* out) {
+    Extend(Path::SingleNode(static_cast<NodeId>(i)), out);
   }
 
-  /// Appends every surviving one-segment extension of `prefix` to `out`;
-  /// sets *dropped when an admissible candidate exceeded max_path_length
-  /// (the eval_budget.h predicate).
-  void Extend(const Path& prefix, Candidates* out, bool* dropped) {
+  /// Appends every surviving one-segment extension of `prefix` to `out`.
+  void Extend(const Path& prefix, ChunkOutput* out) {
     out_ = out;
-    dropped_ = dropped;
     nodes_ = prefix.nodes();
     edges_ = prefix.edges();
     Walk(prefix.Last(), nfa_.start());
   }
-
-  FrontierClosureStats counts;
 
  private:
   void Walk(NodeId node, uint32_t state) {
@@ -129,13 +139,13 @@ class SegmentWalker {
     edges_.push_back(e);
 
     for (uint32_t next_state : next_states) {
-      ++counts.states_expanded;
+      ++out_->counts.states_expanded;
       if (nfa_.IsAccepting(next_state)) {
         if (edges_.size() > limits_.max_path_length) {
           // Admissible candidate suppressed by the cap: the walk passed
           // every restrictor check, so this is exactly the `dropped`
           // predicate of eval_budget.h.
-          *dropped_ = true;
+          out_->dropped = true;
         } else {
           EmitSurvivor();
         }
@@ -152,8 +162,8 @@ class SegmentWalker {
   void EmitSurvivor() {
     Path p(nodes_, edges_);
     const size_t h = p.Hash();
-    out_->emplace_back(std::move(p), h);
-    ++counts.paths_reconstructed;
+    out_->candidates.emplace_back(std::move(p), h);
+    ++out_->counts.paths_reconstructed;
   }
 
   const PropertyGraph& g_;
@@ -162,53 +172,40 @@ class SegmentWalker {
   const PathSemantics semantics_;
   const EvalLimits& limits_;
 
-  Candidates* out_ = nullptr;
-  bool* dropped_ = nullptr;
+  ChunkOutput* out_ = nullptr;
   std::vector<NodeId> nodes_;
   std::vector<EdgeId> edges_;
   uint32_t cancel_countdown_ = kCancelCheckStride;
   bool stopped_ = false;
 };
 
-/// Segment source over a materialized base set: round 0 admits the base
-/// paths themselves, and a segment is one base path whose First() is the
-/// prefix's last node. The index covers the raw base: a base path that
-/// fails the restrictor or the length cap fails every concatenation
-/// containing it too, so only ϕ0's paths ever extend a result.
+/// Segment source over a materialized base set: round 0 admits the
+/// non-empty base paths themselves, and a segment is one path of ϕ0 (the
+/// paths round 0 admits) whose First() is the prefix's last node.
 class BaseSource {
  public:
-  BaseSource(const PathSet& base, const PathFirstIndex& index,
+  BaseSource(const PathSet& base, const PathFirstIndex& phi0,
              PathSemantics semantics, const EvalLimits& limits)
-      : base_(base), index_(index), semantics_(semantics),
+      : base_(base), index_(phi0), semantics_(semantics),
         limits_(limits) {}
 
-  void Seed(size_t i, Candidates* out, bool* dropped) const {
-    if (!base_[i].empty() && Admissible(base_[i], dropped)) {
-      out->emplace_back(base_[i], base_.hash_of(i));
+  void Seed(size_t i, ChunkOutput* out) const {
+    if (!base_[i].empty() &&
+        Admissible(base_[i], semantics_, limits_, &out->dropped)) {
+      out->candidates.emplace_back(base_[i], base_.hash_of(i));
     }
   }
 
-  void Extend(const Path& prefix, Candidates* out, bool* dropped) const {
+  void Extend(const Path& prefix, ChunkOutput* out) const {
     for (const Path* segment : index_.ForFirst(prefix.Last())) {
       Path q = Path::ConcatUnchecked(prefix, *segment);
-      if (!Admissible(q, dropped)) continue;
+      if (!Admissible(q, semantics_, limits_, &out->dropped)) continue;
       const size_t h = q.Hash();
-      out->emplace_back(std::move(q), h);
+      out->candidates.emplace_back(std::move(q), h);
     }
   }
 
-  FrontierClosureStats counts;  // unused: FrontierClosureOverBase has none
-
  private:
-  // Semantics before length: only *admissible* overlong candidates set
-  // *dropped (the eval_budget.h predicate).
-  bool Admissible(const Path& q, bool* dropped) const {
-    if (!SatisfiesSemantics(q, semantics_)) return false;
-    if (q.Len() <= limits_.max_path_length) return true;
-    *dropped = true;
-    return false;
-  }
-
   const PathSet& base_;
   const PathFirstIndex& index_;
   const PathSemantics semantics_;
@@ -218,10 +215,11 @@ class BaseSource {
 /// The one semi-naive round driver for non-shortest ϕ. `make_source()`
 /// builds a chunk-private segment source (SegmentWalker or BaseSource):
 /// round 0 calls Seed(i) for i ∈ [0, num_seeds), round r calls Extend on
-/// every path round r−1 discovered. Dedup, budgets and the next frontier
-/// live on the calling thread, which merges chunk buffers in chunk index
-/// order — results, partial answers and Status are byte-identical at any
-/// thread count, with every trip point of algebra/eval_budget.h.
+/// every path round r−1 discovered, both writing into the chunk's
+/// ChunkOutput. Dedup, budgets and the next frontier live on the calling
+/// thread, which merges chunk buffers in chunk index order — results,
+/// partial answers and Status are byte-identical at any thread count,
+/// with every trip point of algebra/eval_budget.h.
 template <typename MakeSource>
 Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                             PathSemantics semantics, const EvalLimits& limits,
@@ -261,17 +259,15 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
       }
       const size_t m = std::min(segment, n - seg);
       const ChunkLayout layout = ThreadPool::PlanFor(m, parallel);
-      std::vector<Candidates> candidates(layout.num_chunks);
-      std::vector<uint8_t> chunk_dropped(layout.num_chunks, 0);
-      std::vector<FrontierClosureStats> chunk_counts(layout.num_chunks);
+      std::vector<ChunkOutput> outputs(layout.num_chunks);
       ThreadPool::Shared().ParallelFor(
           m, parallel, parallel_stats,
           [&](size_t chunk, size_t begin, size_t end) {
             auto source = make_source();
-            bool mine_dropped = false;
+            ChunkOutput* out = &outputs[chunk];
             for (size_t i = seg + begin; i < seg + end; ++i) {
               if (prefixes == nullptr) {
-                source.Seed(i, &candidates[chunk], &mine_dropped);
+                source.Seed(i, out);
                 continue;
               }
               const Path& prefix = acc.paths()[(*prefixes)[i]];
@@ -281,10 +277,8 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                   prefix.First() == prefix.Last()) {
                 continue;
               }
-              source.Extend(prefix, &candidates[chunk], &mine_dropped);
+              source.Extend(prefix, out);
             }
-            chunk_dropped[chunk] = mine_dropped ? 1 : 0;
-            chunk_counts[chunk] = source.counts;
           });
       // Walkers that saw the token trip stopped mid-walk, so their chunk
       // buffers may be truncated — return before the merge can mistake
@@ -292,16 +286,16 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
       if (CancelRequested(limits.cancel)) {
         return EvalCancelled(*limits.cancel);
       }
-      for (size_t c = 0; c < layout.num_chunks; ++c) {
+      for (ChunkOutput& out : outputs) {
         // `dropped` is only consulted at the natural fixpoint, never on
         // a budget return (eval_budget.h precedence), so folding chunk
         // flags before the budget loop cannot change behavior.
-        if (chunk_dropped[c] != 0) dropped = true;
+        if (out.dropped) dropped = true;
         if (stats != nullptr) {
-          stats->states_expanded += chunk_counts[c].states_expanded;
-          stats->paths_reconstructed += chunk_counts[c].paths_reconstructed;
+          stats->states_expanded += out.counts.states_expanded;
+          stats->paths_reconstructed += out.counts.paths_reconstructed;
         }
-        for (auto& [q, h] : candidates[c]) {
+        for (auto& [q, h] : out.candidates) {
           if (acc.size() >= limits.max_paths) {
             // A full accumulator trips on the first NEW candidate;
             // duplicates never trip (eval_budget.h).
@@ -338,11 +332,11 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
   return acc;
 }
 
-/// Shortest engine: per-source product BFS over the determinized
-/// automaton of inner+ computing distances on (node, state) pairs, then
-/// backward enumeration of every distance-decreasing product path — Path
-/// objects exist only for the per-pair-minimal survivors. Determinism
-/// makes the reconstruction exact: a graph path has one run, hence one
+/// Shortest engine: per-source product BFS over an automaton of inner+
+/// computing distances on (node, state) pairs, then backward enumeration
+/// of every distance-decreasing product path — Path objects exist only
+/// for the per-pair-minimal survivors. Over a deterministic automaton
+/// the reconstruction is exact: a graph path has one run, hence one
 /// product path, so an ambiguous regex (`:a|:a/:a`) never rebuilds a
 /// path once per NFA state sequence. Sources fan out across chunks;
 /// chunk buffers merge in chunk (= node) order.
@@ -354,7 +348,7 @@ class ShortestSource {
         num_states_(nfa.num_states()),
         dist_(g.num_nodes() * nfa.num_states(), kInf) {}
 
-  void Run(NodeId source, Candidates* out) {
+  void Run(NodeId source, ChunkOutput* out) {
     out_ = out;
     source_ = source;
     std::fill(dist_.begin(), dist_.end(), kInf);
@@ -372,7 +366,7 @@ class ShortestSource {
         for (EdgeId e : g_.OutEdgesWithLabel(node, arc.label)) {
           const NodeId next = g_.Target(e);
           for (uint32_t ns : arc.states) {
-            ++counts.states_expanded;
+            ++out_->counts.states_expanded;
             if (dist_[Key(next, ns)] == kInf) {
               dist_[Key(next, ns)] = d + 1;
               queue.push({next, ns});
@@ -410,8 +404,6 @@ class ShortestSource {
   /// the remaining sources of its chunk.
   bool stopped() const { return stopped_; }
 
-  FrontierClosureStats counts;
-
  private:
   static constexpr size_t kInf = std::numeric_limits<size_t>::max();
 
@@ -444,7 +436,7 @@ class ShortestSource {
         const NodeId prev = g_.Source(e);
         for (uint32_t ps : arc.states) {
           if (dist_[Key(prev, ps)] != d - 1) continue;
-          ++counts.states_expanded;
+          ++out_->counts.states_expanded;
           nodes_suffix_.push_back(prev);
           edges_suffix_.push_back(e);
           Backtrack(prev, ps, d - 1);
@@ -457,8 +449,8 @@ class ShortestSource {
 
   void EmitSurvivor(Path p) {
     const size_t h = p.Hash();
-    out_->emplace_back(std::move(p), h);
-    ++counts.paths_reconstructed;
+    out_->candidates.emplace_back(std::move(p), h);
+    ++out_->counts.paths_reconstructed;
   }
 
   const PropertyGraph& g_;
@@ -468,7 +460,7 @@ class ShortestSource {
   const size_t num_states_;
   std::vector<size_t> dist_;
 
-  Candidates* out_ = nullptr;
+  ChunkOutput* out_ = nullptr;
   NodeId source_ = 0;
   // Backtrack working state (stored target-to-source, reversed on emit).
   std::vector<NodeId> nodes_suffix_;
@@ -482,32 +474,35 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
                                  const ParallelOptions& parallel,
                                  ParallelStats* parallel_stats,
                                  FrontierClosureStats* stats) {
-  const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner)).Determinized();
-  const ProductIndex index(g, nfa);
+  // Capped at the NFA's size so the product and dist_ never outgrow it;
+  // past the cap (Σ | a·Σⁿ blows up) the NFA runs, and the merge's dedup
+  // absorbs the paths an ambiguous inner then rebuilds per spelling.
+  const Nfa nfa = Nfa::FromRegex(RegexNode::Plus(inner));
+  const std::optional<Nfa> dfa = nfa.Determinized(nfa.num_states());
+  const Nfa& automaton = dfa.has_value() ? *dfa : nfa;
+  const ProductIndex index(g, automaton);
 
   const size_t n = g.num_nodes();
   const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
-  std::vector<Candidates> results(layout.num_chunks);
-  std::vector<FrontierClosureStats> chunk_counts(layout.num_chunks);
+  std::vector<ChunkOutput> outputs(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
       n, parallel, parallel_stats, [&](size_t chunk, size_t begin, size_t end) {
-        ShortestSource bfs(g, nfa, index, limits);
+        ShortestSource bfs(g, automaton, index, limits);
         for (size_t src = begin; src < end; ++src) {
           if (bfs.stopped()) break;
-          bfs.Run(static_cast<NodeId>(src), &results[chunk]);
+          bfs.Run(static_cast<NodeId>(src), &outputs[chunk]);
         }
-        chunk_counts[chunk] = bfs.counts;
       });
   // Cancellation discards every chunk's (possibly truncated) output.
   if (CancelRequested(limits.cancel)) return EvalCancelled(*limits.cancel);
 
   PathSet out;
-  for (size_t c = 0; c < layout.num_chunks; ++c) {
+  for (ChunkOutput& chunk : outputs) {
     if (stats != nullptr) {
-      stats->states_expanded += chunk_counts[c].states_expanded;
-      stats->paths_reconstructed += chunk_counts[c].paths_reconstructed;
+      stats->states_expanded += chunk.counts.states_expanded;
+      stats->paths_reconstructed += chunk.counts.paths_reconstructed;
     }
-    for (auto& [q, h] : results[c]) {
+    for (auto& [q, h] : chunk.candidates) {
       if (out.ContainsHashed(q, h)) continue;  // duplicates never trip
       if (out.size() >= limits.max_paths) {
         if (limits.truncate) return out;
@@ -552,7 +547,16 @@ Result<PathSet> FrontierClosureOverBase(const PathSet& base,
     return Status::InvalidArgument(
         "the frontier engine's base source has no shortest mode");
   }
-  const PathFirstIndex index(base);
+  // Segments are ϕ0 only: an empty base path re-derives the prefix, and
+  // one round 0 rejects fails every concatenation containing it too.
+  std::vector<Path> phi0;
+  bool unused_dropped = false;  // round 0's own Seed calls report drops
+  for (const Path& p : base) {
+    if (!p.empty() && Admissible(p, semantics, limits, &unused_dropped)) {
+      phi0.push_back(p);
+    }
+  }
+  const PathFirstIndex index(phi0);
   return FrontierDfs(
       base.size(),
       [&] { return BaseSource(base, index, semantics, limits); }, semantics,

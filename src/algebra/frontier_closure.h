@@ -19,10 +19,10 @@
 /// set (FrontierClosureOverBase). Round 0 seeds the 1-segment paths and
 /// round r extends every path round r−1 found by one more segment, so
 /// the max_iterations trip predicate is the naive engine's
-/// (algebra/eval_budget.h). kShortest instead runs a product BFS over the
-/// determinized automaton of inner+ per source node and reconstructs all
-/// per-pair minimal paths backwards along distance-decreasing product
-/// edges; it never consults max_iterations (max_path_length bounds it).
+/// (algebra/eval_budget.h). kShortest instead runs a product BFS over
+/// inner+'s automaton (determinized up to the NFA's size) per source node
+/// and reconstructs all per-pair minimal paths backwards along distance-
+/// decreasing product edges; it never consults max_iterations.
 ///
 /// Parallel execution keeps the repo's determinism contract: the
 /// non-shortest rounds chunk the frontier (each chunk walks its paths'
@@ -38,9 +38,8 @@
 /// pruning never kills a prefix of a surviving candidate; for shortest,
 /// every segment of a globally minimal composition is segment-minimal
 /// (replacement argument), so the product BFS's minima are the closure's
-/// minima; walk is unrestricted. Checked against the materialized-base
-/// source, the naive engine and the automaton baseline by
-/// tests/frontier_differential_test.cc.
+/// minima; walk is unrestricted. Checked against the base source, naive
+/// and the automaton baseline by tests/frontier_differential_test.cc.
 
 #include "algebra/recursive.h"
 #include "common/result.h"

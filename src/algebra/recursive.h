@@ -14,11 +14,10 @@
 ///
 /// Two engines are provided: `kNaive` follows Definition 4.1 literally
 /// (each round joins the full accumulated set with the base set), and
-/// `kOptimized` uses semi-naive frontier expansion (trail/acyclic/simple/
-/// walk) — the frontier engine's round driver fed by the base set
-/// (FrontierClosureOverBase, algebra/frontier_closure.h) — or
-/// length-layered best-first search (shortest). The engines are checked
-/// equal by differential tests; bench/phi_ablation measures the gap.
+/// `kOptimized` uses semi-naive frontier expansion (FrontierClosureOverBase
+/// in algebra/frontier_closure.h) or length-layered best-first search
+/// (shortest). The engines are checked equal by differential tests;
+/// bench/phi_ablation measures the gap.
 ///
 /// The optimized engines optionally fan each round's expansion out over
 /// the chunked work-stealing pool (common/thread_pool.h). Parallel output

@@ -106,7 +106,7 @@ Nfa Nfa::FromRegex(const RegexPtr& regex) {
   return nfa;
 }
 
-Nfa Nfa::Determinized() const {
+std::optional<Nfa> Nfa::Determinized(size_t max_states) const {
   std::map<std::set<uint32_t>, uint32_t> ids;
   std::vector<std::set<uint32_t>> subsets;
   auto intern = [&](const std::set<uint32_t>& subset) {
@@ -118,6 +118,7 @@ Nfa Nfa::Determinized() const {
   intern({start_});
   Nfa dfa;
   for (size_t i = 0; i < subsets.size(); ++i) {
+    if (subsets.size() > max_states) return std::nullopt;
     bool accepting = false;
     std::map<std::string, std::set<uint32_t>> moves;
     for (uint32_t s : subsets[i]) {

@@ -10,6 +10,7 @@
 /// sees labelled transitions.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,10 +36,11 @@ class Nfa {
     return transitions_[state];
   }
 
-  /// Subset construction over the reachable subsets: the same language
-  /// with at most one transition per (state, label), so every word has
-  /// one run. States are numbered in discovery order (start = 0).
-  Nfa Determinized() const;
+  /// Subset construction: the same language with at most one transition
+  /// per (state, label), states in discovery order (start = 0). Nullopt
+  /// once more than `max_states` subsets are reachable — they can be
+  /// exponentially many ((Σ | a·Σⁿ)+ has ~2ⁿ⁺¹) — so the work is bounded.
+  std::optional<Nfa> Determinized(size_t max_states) const;
 
   /// Language membership test for a word of edge labels; used by tests to
   /// cross-check the construction against direct regex matching.

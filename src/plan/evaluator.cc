@@ -231,9 +231,7 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
   // a closure-free regex, skip evaluating it (the base set is never
   // materialized) and run the product-automaton frontier engine instead.
   // Unlike the label-scan fast path the collapsed children are *not*
-  // booked into op_count — no operator ran for them. An ineligible ϕ
-  // materializes its child and runs the same round driver over it
-  // (Recursive → FrontierClosureOverBase).
+  // booked into op_count — no operator ran for them.
   if (node.kind() == PlanKind::kRecursive &&
       options.engine == PhiEngine::kOptimized) {
     if (RegexPtr inner = ReconstructRegex(*node.children()[0]);

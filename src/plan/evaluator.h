@@ -79,11 +79,9 @@ struct EvalStats {
 /// Evaluation knobs threaded through every ϕ in the plan.
 struct EvalOptions {
   EvalLimits limits;
-  /// kOptimized answers a kRecursive node whose child subtree is the
-  /// compiled form of a closure-free regex with the NFA-fused frontier
-  /// engine (algebra/frontier_closure.h), never materializing the base
-  /// set; any other ϕ evaluates its child and runs Recursive. kNaive runs
-  /// Definition 4.1 literally on every ϕ — the unfused reference.
+  /// kOptimized fuses a ϕ over a compiled closure-free regex into the
+  /// frontier engine (algebra/frontier_closure.h) without materializing
+  /// its base; kNaive runs Definition 4.1 on every ϕ, never fusing.
   PhiEngine engine = PhiEngine::kOptimized;
   /// Worker threads for σ/⋈/ϕ (common/thread_pool.h): 1 = serial (the
   /// default; never touches the pool), 0 = hardware concurrency. Parallel

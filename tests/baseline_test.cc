@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -77,7 +78,9 @@ TEST(NfaTest, DeterminizedAcceptsTheSameWordsWithOneRunEach) {
        {":a", "(:a|:a/:a)+", "(:a|:a/:b)/(:b|:b/:c)", "((:a+)/:b)+",
         "(:a/:b)*|(:a|:c)+", ":a?/:a?/:b"}) {
     const Nfa nfa = Nfa::FromRegex(MustParse(text));
-    const Nfa dfa = nfa.Determinized();
+    const std::optional<Nfa> capped = nfa.Determinized(nfa.num_states());
+    ASSERT_TRUE(capped.has_value()) << text << ": more subsets than states";
+    const Nfa& dfa = *capped;
     for (uint32_t s = 0; s < dfa.num_states(); ++s) {
       std::set<std::string> labels;
       for (const Nfa::Transition& tr : dfa.TransitionsFrom(s)) {
@@ -103,6 +106,23 @@ TEST(NfaTest, DeterminizedAcceptsTheSameWordsWithOneRunEach) {
       layer = std::move(longer);
     }
   }
+}
+
+TEST(NfaTest, DeterminizedGivesUpPastTheStateCap) {
+  // (Σ | a·Σⁿ)+: a deterministic automaton must remember which of the
+  // last n labels started an a·Σⁿ segment, about 2ⁿ⁺¹ subsets, while the
+  // NFA stays linear in n. The capped construction must give up instead
+  // of building them.
+  std::string text = "((:a|:b)|:a";
+  for (int i = 0; i < 20; ++i) text += "/(:a|:b)";
+  text += ")+";
+  const Nfa nfa = Nfa::FromRegex(MustParse(text));
+  EXPECT_FALSE(nfa.Determinized(nfa.num_states()).has_value());
+  EXPECT_FALSE(nfa.Determinized(0).has_value());
+  // :a has exactly two subsets, {start} and {accept}.
+  const Nfa a = Nfa::FromRegex(MustParse(":a"));
+  EXPECT_TRUE(a.Determinized(2).has_value());
+  EXPECT_FALSE(a.Determinized(1).has_value());
 }
 
 class AutomatonEvalTest : public ::testing::Test {

@@ -185,6 +185,49 @@ TEST(FrontierDifferentialTest, ShortestAmbiguousInnerReconstructsEachPathOnce) {
   }
 }
 
+TEST(FrontierDifferentialTest, ShortestFallsBackToTheNfaPastTheSubsetCap) {
+  // inner = Σ | a·Σᵏ: the subset construction of inner+ reaches about
+  // 2ᵏ⁺¹ states while the NFA stays linear in k. The shortest engine must
+  // not build them: past the cap the NFA runs, which on an a-chain shows
+  // as more reconstructed paths than answers (a path longer than k has
+  // several spellings). The answer must still match the layered and
+  // naive engines at every thread count.
+  const RegexPtr sigma =
+      RegexNode::Union(RegexNode::Label("a"), RegexNode::Label("b"));
+  const size_t n = 32;
+  const PropertyGraph g = MakeChainGraph(n, "a");
+  for (int k : {12, 20}) {
+    RegexPtr long_arm = RegexNode::Label("a");
+    for (int i = 0; i < k; ++i) long_arm = RegexNode::Concat(long_arm, sigma);
+    const RegexPtr inner = RegexNode::Union(sigma, long_arm);
+    const std::string ctx = "k=" + std::to_string(k);
+
+    FrontierClosureStats stats;
+    auto fused = FrontierClosure(g, inner, PathSemantics::kShortest, {},
+                                 Par(1), nullptr, &stats);
+    ASSERT_TRUE(fused.ok()) << ctx << ": " << fused.status().ToString();
+    EXPECT_EQ(fused->size(), n * (n - 1) / 2) << ctx;
+    // ASSERT: without the cap, k = 12 still determinizes in a moment
+    // (~8k subsets) and fails here, before k = 20's ~2M-subset build.
+    ASSERT_GT(stats.paths_reconstructed, fused->size()) << ctx;
+
+    auto layered = MaterializedPhi(g, inner, PathSemantics::kShortest, {},
+                                   PhiEngine::kOptimized);
+    auto naive = MaterializedPhi(g, inner, PathSemantics::kShortest, {},
+                                 PhiEngine::kNaive);
+    ASSERT_TRUE(layered.ok()) << ctx << ": " << layered.status().ToString();
+    ASSERT_TRUE(naive.ok()) << ctx << ": " << naive.status().ToString();
+    EXPECT_EQ(*fused, *layered) << ctx;
+    EXPECT_EQ(*fused, *naive) << ctx;
+    for (size_t t : {2u, 4u}) {
+      auto ft =
+          FrontierClosure(g, inner, PathSemantics::kShortest, {}, Par(t));
+      ASSERT_TRUE(ft.ok()) << ctx << " t=" << t;
+      EXPECT_EQ(ft->paths(), fused->paths()) << ctx << " t=" << t;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSemantics, FrontierDifferentialTest,
     ::testing::Values(PathSemantics::kWalk, PathSemantics::kTrail,
