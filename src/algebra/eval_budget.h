@@ -66,23 +66,44 @@
 /// the deadline is wall-clock-dependent, so — exactly like `!timing`
 /// output — deadline trips are excluded from the byte-identity surface;
 /// the Status text itself is still byte-fixed per trip reason.
+///
+/// **Seeds** — a seeded ϕ (PhiSpec::seeds, recursive.h) counts its budgets
+/// against the seeded output: max_paths against the seed-first paths,
+/// max_iterations against the rounds the seed-first frontier needs,
+/// `dropped` against the seed-first candidates. So a seeded run can
+/// succeed where the unseeded run trips, never the reverse. kNaive is the
+/// exception by design: it enumerates the unseeded closure and filters at
+/// the end, so its budgets count the unseeded closure.
 
 #include <string>
 
+#include "algebra/recursive.h"
 #include "common/cancel.h"
 #include "common/status.h"
 
 namespace pathalg {
 
 /// The single Status every engine returns for a tripped budget;
-/// `what` ∈ {"max_paths", "max_iterations", "max_path_length"}.
-/// Identical wording across engines is part of the differential contract
-/// (Status strings are compared byte-for-byte by the parity fuzz).
-inline Status BudgetExhausted(const char* what) {
-  return Status::ResourceExhausted(
-      std::string("path enumeration exceeded budget (") + what +
-      "); the answer set may be infinite under WALK semantics — "
-      "use a restrictor, a length bound, or truncate=true");
+/// `what` ∈ {"max_paths", "max_iterations", "max_path_length"}, and
+/// `semantics` is the restrictor being enumerated. Only WALK answers can
+/// be infinite, so only WALK gets that hint; the other semantics have a
+/// finite answer that outgrew the budget. Identical wording across
+/// engines for the same (what, semantics) is part of the differential
+/// contract (Status strings are compared byte-for-byte by the parity
+/// fuzz).
+inline Status BudgetExhausted(const char* what, PathSemantics semantics) {
+  std::string message =
+      std::string("path enumeration exceeded budget (") + what + ")";
+  if (semantics == PathSemantics::kWalk) {
+    message +=
+        "; the answer set may be infinite under WALK semantics — "
+        "use a restrictor, a length bound, or truncate=true";
+  } else {
+    message += std::string("; the ") + PathSemanticsToString(semantics) +
+               " answer set is finite but larger than the budget — "
+               "narrow the query, raise the budget, or use truncate=true";
+  }
+  return Status::ResourceExhausted(message);
 }
 
 /// The single Status every engine returns for a tripped CancelToken;

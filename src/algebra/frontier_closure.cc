@@ -64,15 +64,14 @@ bool Admissible(const Path& q, PathSemantics semantics,
 class SegmentWalker {
  public:
   SegmentWalker(const PropertyGraph& g, const Nfa& nfa,
-                const ProductIndex& index, PathSemantics semantics,
+                const ProductIndex& index, const PhiSpec& spec,
                 const EvalLimits& limits)
-      : g_(g), nfa_(nfa), index_(index), semantics_(semantics),
-        limits_(limits) {}
+      : g_(g), nfa_(nfa), index_(index), spec_(spec), limits_(limits) {}
 
-  /// Round 0 seeds are the graph's nodes: every one-segment path from
-  /// node `i`.
+  /// Round 0 starts at the spec's start nodes (every node, or the
+  /// seeds): every one-segment path from the i-th of them.
   void Seed(size_t i, ChunkOutput* out) {
-    Extend(Path::SingleNode(static_cast<NodeId>(i)), out);
+    Extend(Path::SingleNode(spec_.Start(i)), out);
   }
 
   /// Appends every surviving one-segment extension of `prefix` to `out`.
@@ -112,7 +111,7 @@ class SegmentWalker {
     if (stopped_) return;
     const NodeId next = g_.Target(e);
     bool closes_cycle = false;  // simple: path becomes closed at `next`
-    switch (semantics_) {
+    switch (spec_.semantics) {
       case PathSemantics::kWalk:
         break;
       case PathSemantics::kTrail:
@@ -169,7 +168,7 @@ class SegmentWalker {
   const PropertyGraph& g_;
   const Nfa& nfa_;
   const ProductIndex& index_;
-  const PathSemantics semantics_;
+  const PhiSpec& spec_;
   const EvalLimits& limits_;
 
   ChunkOutput* out_ = nullptr;
@@ -180,18 +179,18 @@ class SegmentWalker {
 };
 
 /// Segment source over a materialized base set: round 0 admits the
-/// non-empty base paths themselves, and a segment is one path of ϕ0 (the
-/// paths round 0 admits) whose First() is the prefix's last node.
+/// non-empty base paths themselves (with seeds, only the seed-first
+/// ones), and a segment is one path of ϕ0 (the non-empty base paths an
+/// unseeded round 0 admits) whose First() is the prefix's last node.
 class BaseSource {
  public:
   BaseSource(const PathSet& base, const PathFirstIndex& phi0,
-             PathSemantics semantics, const EvalLimits& limits)
-      : base_(base), index_(phi0), semantics_(semantics),
-        limits_(limits) {}
+             const PhiSpec& spec, const EvalLimits& limits)
+      : base_(base), index_(phi0), spec_(spec), limits_(limits) {}
 
   void Seed(size_t i, ChunkOutput* out) const {
-    if (!base_[i].empty() &&
-        Admissible(base_[i], semantics_, limits_, &out->dropped)) {
+    if (!base_[i].empty() && spec_.Admits(base_[i].First()) &&
+        Admissible(base_[i], spec_.semantics, limits_, &out->dropped)) {
       out->candidates.emplace_back(base_[i], base_.hash_of(i));
     }
   }
@@ -199,7 +198,7 @@ class BaseSource {
   void Extend(const Path& prefix, ChunkOutput* out) const {
     for (const Path* segment : index_.ForFirst(prefix.Last())) {
       Path q = Path::ConcatUnchecked(prefix, *segment);
-      if (!Admissible(q, semantics_, limits_, &out->dropped)) continue;
+      if (!Admissible(q, spec_.semantics, limits_, &out->dropped)) continue;
       const size_t h = q.Hash();
       out->candidates.emplace_back(std::move(q), h);
     }
@@ -208,7 +207,7 @@ class BaseSource {
  private:
   const PathSet& base_;
   const PathFirstIndex& index_;
-  const PathSemantics semantics_;
+  const PhiSpec& spec_;
   const EvalLimits& limits_;
 };
 
@@ -301,7 +300,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
             // duplicates never trip (eval_budget.h).
             if (acc.ContainsHashed(q, h)) continue;
             if (limits.truncate) return false;
-            return BudgetExhausted("max_paths");
+            return BudgetExhausted("max_paths", semantics);
           }
           if (acc.InsertHashed(std::move(q), h)) {
             next->push_back(acc.size() - 1);
@@ -319,7 +318,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
   while (keep_going && !frontier.empty()) {
     if (++iterations > limits.max_iterations) {
       if (limits.truncate) return acc;
-      return BudgetExhausted("max_iterations");
+      return BudgetExhausted("max_iterations", semantics);
     }
     std::vector<size_t> next;
     PATHALG_ASSIGN_OR_RETURN(keep_going,
@@ -327,7 +326,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
     frontier = std::move(next);
   }
   if (keep_going && dropped && !limits.truncate) {
-    return BudgetExhausted("max_path_length");
+    return BudgetExhausted("max_path_length", semantics);
   }
   return acc;
 }
@@ -338,8 +337,8 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
 /// for the per-pair-minimal survivors. Over a deterministic automaton
 /// the reconstruction is exact: a graph path has one run, hence one
 /// product path, so an ambiguous regex (`:a|:a/:a`) never rebuilds a
-/// path once per NFA state sequence. Sources fan out across chunks;
-/// chunk buffers merge in chunk (= node) order.
+/// path once per NFA state sequence. Sources (every node, or the seeds)
+/// fan out across chunks; chunk buffers merge in chunk (= source) order.
 class ShortestSource {
  public:
   ShortestSource(const PropertyGraph& g, const Nfa& nfa,
@@ -470,6 +469,7 @@ class ShortestSource {
 };
 
 Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
+                                 const PhiSpec& spec,
                                  const EvalLimits& limits,
                                  const ParallelOptions& parallel,
                                  ParallelStats* parallel_stats,
@@ -482,15 +482,15 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
   const Nfa& automaton = dfa.has_value() ? *dfa : nfa;
   const ProductIndex index(g, automaton);
 
-  const size_t n = g.num_nodes();
+  const size_t n = spec.NumStarts(g.num_nodes());
   const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
   std::vector<ChunkOutput> outputs(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
       n, parallel, parallel_stats, [&](size_t chunk, size_t begin, size_t end) {
         ShortestSource bfs(g, automaton, index, limits);
-        for (size_t src = begin; src < end; ++src) {
+        for (size_t i = begin; i < end; ++i) {
           if (bfs.stopped()) break;
-          bfs.Run(static_cast<NodeId>(src), &outputs[chunk]);
+          bfs.Run(spec.Start(i), &outputs[chunk]);
         }
       });
   // Cancellation discards every chunk's (possibly truncated) output.
@@ -506,7 +506,7 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
       if (out.ContainsHashed(q, h)) continue;  // duplicates never trip
       if (out.size() >= limits.max_paths) {
         if (limits.truncate) return out;
-        return BudgetExhausted("max_paths");
+        return BudgetExhausted("max_paths", PathSemantics::kShortest);
       }
       out.InsertHashed(std::move(q), h);
     }
@@ -517,8 +517,7 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
 }  // namespace
 
 Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
-                                PathSemantics semantics,
-                                const EvalLimits& limits,
+                                PhiSpec spec, const EvalLimits& limits,
                                 const ParallelOptions& parallel,
                                 ParallelStats* parallel_stats,
                                 FrontierClosureStats* stats) {
@@ -526,23 +525,23 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g, const RegexPtr& inner,
     return Status::InvalidArgument(
         "frontier closure requires a closure-free inner regex");
   }
-  if (semantics == PathSemantics::kShortest) {
-    return FrontierShortest(g, inner, limits, parallel, parallel_stats,
+  if (spec.semantics == PathSemantics::kShortest) {
+    return FrontierShortest(g, inner, spec, limits, parallel, parallel_stats,
                             stats);
   }
   const Nfa nfa = Nfa::FromRegex(inner);
   const ProductIndex index(g, nfa);
   return FrontierDfs(
-      g.num_nodes(),
-      [&] { return SegmentWalker(g, nfa, index, semantics, limits); },
-      semantics, limits, parallel, parallel_stats, stats);
+      spec.NumStarts(g.num_nodes()),
+      [&] { return SegmentWalker(g, nfa, index, spec, limits); },
+      spec.semantics, limits, parallel, parallel_stats, stats);
 }
 
-Result<PathSet> FrontierClosureOverBase(const PathSet& base,
-                                        PathSemantics semantics,
+Result<PathSet> FrontierClosureOverBase(const PathSet& base, PhiSpec spec,
                                         const EvalLimits& limits,
                                         const ParallelOptions& parallel,
                                         ParallelStats* parallel_stats) {
+  const PathSemantics semantics = spec.semantics;
   if (semantics == PathSemantics::kShortest) {
     return Status::InvalidArgument(
         "the frontier engine's base source has no shortest mode");
@@ -558,9 +557,8 @@ Result<PathSet> FrontierClosureOverBase(const PathSet& base,
   }
   const PathFirstIndex index(phi0);
   return FrontierDfs(
-      base.size(),
-      [&] { return BaseSource(base, index, semantics, limits); }, semantics,
-      limits, parallel, parallel_stats, /*stats=*/nullptr);
+      base.size(), [&] { return BaseSource(base, index, spec, limits); },
+      semantics, limits, parallel, parallel_stats, /*stats=*/nullptr);
 }
 
 }  // namespace pathalg

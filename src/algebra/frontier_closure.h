@@ -19,10 +19,14 @@
 /// set (FrontierClosureOverBase). Round 0 seeds the 1-segment paths and
 /// round r extends every path round r−1 found by one more segment, so
 /// the max_iterations trip predicate is the naive engine's
-/// (algebra/eval_budget.h). kShortest instead runs a product BFS over
+/// (algebra/eval_budget.h). With seeds (PhiSpec, recursive.h), round 0
+/// starts only at the seeds, and every later round keeps each path's
+/// first node, so the output is the unseeded output's seed-first paths
+/// in the same order. kShortest instead runs a product BFS over
 /// inner+'s automaton (determinized up to the NFA's size) per source node
-/// and reconstructs all per-pair minimal paths backwards along distance-
-/// decreasing product edges; it never consults max_iterations.
+/// (every node, or the seeds) and reconstructs all per-pair minimal paths
+/// backwards along distance-decreasing product edges; it never consults
+/// max_iterations.
 ///
 /// Parallel execution keeps the repo's determinism contract: the
 /// non-shortest rounds chunk the frontier (each chunk walks its paths'
@@ -69,11 +73,11 @@ bool FrontierEligible(const RegexPtr& inner);
 /// ϕ_semantics over the base set {p : λ(p) ∈ L(inner)}, evaluated
 /// NFA-fused. Precondition: FrontierEligible(inner); returns
 /// InvalidArgument otherwise. Result is set-equal to
-/// Recursive(Eval(CompileRegex(inner)), semantics, limits) with an
-/// identical budget-trip predicate (algebra/eval_budget.h).
+/// Recursive(Eval(CompileRegex(inner)), spec, limits) with an identical
+/// budget-trip predicate (algebra/eval_budget.h). With seeds, round 0
+/// (or the shortest BFS) starts only at the seed nodes.
 Result<PathSet> FrontierClosure(const PropertyGraph& g,
-                                const RegexPtr& inner,
-                                PathSemantics semantics,
+                                const RegexPtr& inner, PhiSpec spec,
                                 const EvalLimits& limits = {},
                                 const ParallelOptions& parallel = {},
                                 ParallelStats* parallel_stats = nullptr,
@@ -81,10 +85,10 @@ Result<PathSet> FrontierClosure(const PropertyGraph& g,
 
 /// Semi-naive ϕ_semantics(base), the kOptimized Recursive for every
 /// semantics but kShortest (InvalidArgument): round 0 admits the base
-/// paths in base order, round r appends one base path to each path
-/// round r−1 found.
+/// paths in base order (with seeds, only the seed-first ones), round r
+/// appends one base path to each path round r−1 found.
 Result<PathSet> FrontierClosureOverBase(
-    const PathSet& base, PathSemantics semantics,
+    const PathSet& base, PhiSpec spec,
     const EvalLimits& limits = {}, const ParallelOptions& parallel = {},
     ParallelStats* parallel_stats = nullptr);
 

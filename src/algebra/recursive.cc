@@ -80,7 +80,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     if (acc.Contains(p)) continue;  // duplicates never trip the budget
     if (acc.size() >= limits.max_paths) {
       if (limits.truncate) return acc;
-      return BudgetExhausted("max_paths");
+      return BudgetExhausted("max_paths", semantics);
     }
     if (shortest) {
       auto key = std::make_pair(p.First(), p.Last());
@@ -109,7 +109,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
       if (limits.truncate) {
         return shortest ? KeepShortestPerEndpointPair(acc) : acc;
       }
-      return BudgetExhausted("max_iterations");
+      return BudgetExhausted("max_iterations", semantics);
     }
     ++rounds;
     // Join the full accumulated set with ϕ0 (this is what makes the naive
@@ -146,7 +146,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
       if (acc.Contains(q)) continue;  // duplicates never trip the budget
       if (acc.size() >= limits.max_paths) {
         if (limits.truncate) return acc;
-        return BudgetExhausted("max_paths");
+        return BudgetExhausted("max_paths", semantics);
       }
       acc.Insert(std::move(q));
     }
@@ -154,7 +154,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
   }
   // Fixpoint verified: |ϕi| == |ϕ{i-1}|.
   if (dropped && !limits.truncate) {
-    return BudgetExhausted("max_path_length");
+    return BudgetExhausted("max_path_length", semantics);
   }
   return shortest ? KeepShortestPerEndpointPair(acc) : acc;
 }
@@ -177,8 +177,13 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
 // byte-identical at any thread count. (Versus the pre-layered
 // interleaved loop, the frozen best map prunes slightly more duplicate
 // pushes — same answers, fewer wasted pops.)
+//
+// Seeds: only seed-first base paths enter the heap. Extensions keep the
+// first node and `best` is keyed by (first, last), so the seeded pops are
+// exactly the unseeded run's seed-first pops, in the same order.
 // ---------------------------------------------------------------------------
 Result<PathSet> RecursiveShortestLayered(const PathSet& base,
+                                         const PhiSpec& spec,
                                          const EvalLimits& limits,
                                          const ParallelOptions& parallel,
                                          ParallelStats* parallel_stats) {
@@ -193,6 +198,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
   for (const Path& p : base) {
     if (p.empty()) continue;
     if (p.Len() > limits.max_path_length) continue;
+    if (!spec.Admits(p.First())) continue;
     heap.push(p);
   }
 
@@ -208,7 +214,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
     while (!heap.empty() && heap.top().Len() == layer_len) {
       if (++pops > limits.max_iterations * 64) {
         if (limits.truncate) return out;
-        return BudgetExhausted("max_iterations");
+        return BudgetExhausted("max_iterations", PathSemantics::kShortest);
       }
       Path p = heap.top();
       heap.pop();
@@ -219,7 +225,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
       if (!expanded.Insert(p)) continue;  // already handled this exact path
       if (out.size() >= limits.max_paths) {
         if (limits.truncate) return out;
-        return BudgetExhausted("max_paths");
+        return BudgetExhausted("max_paths", PathSemantics::kShortest);
       }
       out.Insert(p);
       layer.push_back(std::move(p));
@@ -257,23 +263,32 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
 
 }  // namespace
 
-Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
+Result<PathSet> Recursive(const PathSet& base, PhiSpec spec,
                           const EvalLimits& limits, PhiEngine engine,
                           const ParallelOptions& parallel,
                           ParallelStats* parallel_stats) {
   if (engine == PhiEngine::kNaive) {
     // The naive engine is the literal Definition 4.1 reference the
     // parallel paths are differentially tested against; it stays serial
-    // by design.
+    // by design, and honours seeds by filtering its unseeded answer.
     if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
       ++parallel_stats->serial_fallbacks;
     }
-    return RecursiveNaive(base, semantics, limits);
+    Result<PathSet> all = RecursiveNaive(base, spec.semantics, limits);
+    if (!all.ok() || spec.seeds == nullptr) return all;
+    PathSet seeded;
+    for (size_t i = 0; i < all->size(); ++i) {
+      if (spec.Admits((*all)[i].First())) {
+        seeded.InsertHashed((*all)[i], all->hash_of(i));
+      }
+    }
+    return seeded;
   }
-  if (semantics == PathSemantics::kShortest) {
-    return RecursiveShortestLayered(base, limits, parallel, parallel_stats);
+  if (spec.semantics == PathSemantics::kShortest) {
+    return RecursiveShortestLayered(base, spec, limits, parallel,
+                                    parallel_stats);
   }
-  return FrontierClosureOverBase(base, semantics, limits, parallel,
+  return FrontierClosureOverBase(base, spec, limits, parallel,
                                  parallel_stats);
 }
 

@@ -26,8 +26,19 @@
 /// insertion run on the calling thread in chunk order, which is exactly
 /// the serial enumeration order. kNaive stays intentionally serial: it is
 /// the reference the parallel engines are differentially tested against.
+///
+/// Seeds: a PhiSpec may carry an ascending list of seed nodes (the source
+/// condition of plan/plan.h's ClosureSpec, resolved by the evaluator).
+/// The answer is then σ_{First ∈ seeds}(ϕ_semantics(base)). The optimized
+/// engines start only from seed-first paths; since every later round keeps
+/// a path's first node, their output is byte for byte the unseeded output
+/// with the other first nodes dropped, whenever the unseeded run succeeds.
+/// kNaive runs Definition 4.1 unseeded and filters at the end, so it stays
+/// the reference for the rewrite that fills the seeds in.
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "common/cancel.h"
 #include "common/result.h"
@@ -40,6 +51,32 @@ namespace pathalg {
 enum class PathSemantics { kWalk, kTrail, kAcyclic, kSimple, kShortest };
 
 const char* PathSemanticsToString(PathSemantics s);
+
+/// What one ϕ evaluation computes: ϕ_semantics, restricted to the paths
+/// whose first node is in `seeds` (ascending, distinct; not owned) when
+/// `seeds` is set. Converts implicitly from PathSemantics (no seeds:
+/// every node starts paths).
+struct PhiSpec {
+  PhiSpec(PathSemantics s, const std::vector<NodeId>* seed_nodes = nullptr)
+      : semantics(s), seeds(seed_nodes) {}
+
+  /// Number of start nodes on a graph of `num_nodes` nodes.
+  size_t NumStarts(size_t num_nodes) const {
+    return seeds == nullptr ? num_nodes : seeds->size();
+  }
+  /// The i-th start node, ascending in i.
+  NodeId Start(size_t i) const {
+    return seeds == nullptr ? static_cast<NodeId>(i) : (*seeds)[i];
+  }
+  /// True if a path starting at `n` may be in the answer.
+  bool Admits(NodeId n) const {
+    return seeds == nullptr ||
+           std::binary_search(seeds->begin(), seeds->end(), n);
+  }
+
+  PathSemantics semantics;
+  const std::vector<NodeId>* seeds;
+};
 
 /// True if `p` is admissible under `s`. Shortest is a set-level property
 /// and always returns true here; it is enforced by the ϕ engines.
@@ -73,8 +110,9 @@ enum class PhiEngine { kNaive, kOptimized };
 /// ϕ_semantics(base): Definition 4.1 with the restrictor filter applied to
 /// every generated path (including the base paths themselves — ϕTrail of a
 /// non-trail base path excludes it, matching Table 2's "returns paths that
-/// do not have repeated edges").
-Result<PathSet> Recursive(const PathSet& base, PathSemantics semantics,
+/// do not have repeated edges"), keeping only seed-first paths when
+/// `spec` has seeds.
+Result<PathSet> Recursive(const PathSet& base, PhiSpec spec,
                           const EvalLimits& limits = {},
                           PhiEngine engine = PhiEngine::kOptimized,
                           const ParallelOptions& parallel = {},

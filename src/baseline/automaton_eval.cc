@@ -347,7 +347,7 @@ Result<PathSet> EvaluateRpqAutomaton(const PropertyGraph& g,
       if (out.Contains(p)) continue;  // duplicates never trip the budget
       if (out.size() >= options.limits.max_paths) {
         if (options.limits.truncate) return out;
-        return BudgetExhausted("max_paths");
+        return BudgetExhausted("max_paths", options.semantics);
       }
       out.Insert(p);
     }
@@ -355,7 +355,7 @@ Result<PathSet> EvaluateRpqAutomaton(const PropertyGraph& g,
   // `dropped` is only consulted after the complete enumeration, so a
   // max_paths trip anywhere above takes precedence (eval_budget.h).
   if (dropped && !options.limits.truncate) {
-    return BudgetExhausted("max_path_length");
+    return BudgetExhausted("max_path_length", options.semantics);
   }
   return out;
 }

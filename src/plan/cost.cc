@@ -134,7 +134,12 @@ CostEstimate EstimateCost(const PlanPtr& plan, const GraphStats& stats) {
       CostEstimate c = EstimateCost(plan->child(), stats);
       double blowup =
           plan->semantics() == PathSemantics::kShortest ? 4.0 : kPhiBlowup;
-      double out = c.cardinality * blowup;
+      // A source keeps the share of paths σ_source would keep, and the
+      // engines only build that share.
+      const ConditionPtr& source = plan->closure().source;
+      double keep =
+          source == nullptr ? 1.0 : EstimateSelectivity(*source, stats);
+      double out = c.cardinality * blowup * keep;
       return {out, c.cost + out};
     }
     case PlanKind::kRestrict: {

@@ -109,6 +109,30 @@ bool MatchEdgeSeek(const PlanNode& node, EdgeSeek* seek) {
   return seek->label != nullptr || !seek->first_node.empty();
 }
 
+/// The first-node test: true when node `n` passes every condition in
+/// `first_node`, each of which RefersOnlyToFirstNode. Such a condition
+/// reads the same object on the zero-length path (n) as on any path that
+/// starts at n, so σ's seek and ϕ's seeds both decide per node here.
+bool PassesAtFirstNode(const PropertyGraph& g, NodeId n,
+                       const std::vector<const Condition*>& first_node) {
+  const Path at = Path::SingleNode(n);
+  return std::all_of(first_node.begin(), first_node.end(),
+                     [&](const Condition* c) { return c->Evaluate(g, at); });
+}
+
+/// The engine-side form of a ϕ node's ClosureSpec: with a source, the
+/// nodes passing it, ascending, are written to `*seeds` (which must
+/// outlive the returned spec).
+PhiSpec ResolveClosure(const PropertyGraph& g, const ClosureSpec& closure,
+                       std::vector<NodeId>* seeds) {
+  if (closure.source == nullptr) return closure.semantics;
+  const std::vector<const Condition*> source = {closure.source.get()};
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (PassesAtFirstNode(g, n, source)) seeds->push_back(n);
+  }
+  return {closure.semantics, seeds};
+}
+
 /// Answers σ_c(Edges(G)) through `seek`. Candidates come from the CSR —
 /// per passing source node when a first-node conjunct exists, else
 /// the whole label slice — and are emitted in ascending edge id, the
@@ -129,15 +153,7 @@ PathSet SeekEdges(const PropertyGraph& g, const Condition& c,
       const NeighborRange run = seek.label == nullptr
                                     ? g.OutEdges(n)
                                     : g.OutEdgesWithLabel(n, label);
-      if (run.empty()) continue;
-      // A first-node conjunct reads the same object on the zero-length
-      // path (n) as on any edge leaving n.
-      const Path at = Path::SingleNode(n);
-      auto passes = [&](const Condition* f) { return f->Evaluate(g, at); };
-      if (!std::all_of(seek.first_node.begin(), seek.first_node.end(),
-                       passes)) {
-        continue;
-      }
+      if (run.empty() || !PassesAtFirstNode(g, n, seek.first_node)) continue;
       candidates.insert(candidates.end(), run.begin(), run.end());
     }
     // OutEdges runs are (label, id)-sorted; each edge has one source, so
@@ -229,7 +245,8 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
   }
   // NFA-fused ϕ: when the closure's child subtree is the compiled form of
   // a closure-free regex, skip evaluating it (the base set is never
-  // materialized) and run the product-automaton frontier engine instead.
+  // materialized) and run the product-automaton frontier engine instead,
+  // from the source's seeds when the ϕ has one.
   // Unlike the label-scan fast path the collapsed children are *not*
   // booked into op_count — no operator ran for them.
   if (node.kind() == PlanKind::kRecursive &&
@@ -240,9 +257,10 @@ Result<EvalValue> Eval(const PropertyGraph& g, const PlanNode& node,
       const ParallelOptions par{options.threads, options.min_chunk};
       ParallelStats pstats;
       FrontierClosureStats fstats;
-      Result<PathSet> r = FrontierClosure(g, inner, node.semantics(),
-                                          options.limits, par, &pstats,
-                                          &fstats);
+      std::vector<NodeId> seeds;
+      Result<PathSet> r = FrontierClosure(
+          g, inner, ResolveClosure(g, node.closure(), &seeds),
+          options.limits, par, &pstats, &fstats);
       if (options.stats != nullptr) {  // a failed ϕ still reports its work
         options.stats->chunks_executed += pstats.chunks_executed;
         options.stats->steal_count += pstats.steal_count;
@@ -347,9 +365,10 @@ Result<EvalValue> ApplyOp(const PropertyGraph& g, const PlanNode& node,
     case PlanKind::kDifference:
       return EvalValue(Difference(paths(0), paths(1)));
     case PlanKind::kRecursive: {
-      Result<PathSet> r = Recursive(paths(0), node.semantics(),
-                                    options.limits, options.engine, par,
-                                    &pstats);
+      std::vector<NodeId> seeds;
+      Result<PathSet> r = Recursive(
+          paths(0), ResolveClosure(g, node.closure(), &seeds),
+          options.limits, options.engine, par, &pstats);
       fold_parallel();  // a failed ϕ still reports its parallel work
       PATHALG_RETURN_NOT_OK(r.status());
       return EvalValue(std::move(r).value());

@@ -68,12 +68,14 @@ bool DependsOnlyOnEndpoints(const Condition& c) {
 
 /// If `plan` is a (possibly empty) chain of endpoint-only Selects over
 /// ϕWalk(x), returns ϕ<new_semantics>(x) re-wrapped in the same Selects;
-/// nullptr when the shape does not match.
+/// nullptr when the shape does not match. The ϕ keeps its source: a
+/// first-node filter is endpoint-only too.
 PlanPtr SwapWalkSemanticsThroughEndpointSelects(
     const PlanPtr& plan, PathSemantics new_semantics) {
   if (plan->kind() == PlanKind::kRecursive &&
       plan->semantics() == PathSemantics::kWalk) {
-    return PlanNode::Recursive(new_semantics, plan->child());
+    return PlanNode::Recursive({new_semantics, plan->closure().source},
+                               plan->child());
   }
   if (plan->kind() == PlanKind::kSelect &&
       DependsOnlyOnEndpoints(*plan->condition())) {
@@ -102,6 +104,32 @@ struct Rewriter {
       Note("select-merge");
       return PlanNode::Select(Condition::And(cond, input->condition()),
                               input->child());
+    }
+    // select-into-closure: σc(ϕ(x)) moves c's first-node conjuncts into
+    // ϕ's source. First(p1 ◦ … ◦ pk) = First(p1), so the filter keeps or
+    // drops a composition by its first segment alone:
+    //  - WALK, TRAIL, ACYCLIC, SIMPLE: the restrictor judges a path by
+    //    its own nodes and edges, never by which other paths exist, so
+    //    the seed-first compositions are the same set either way;
+    //  - SHORTEST: minimality is per (first, last) pair, and the filter
+    //    keeps or drops whole pairs.
+    // last.*, len() and mixed conjuncts stay in σ.
+    if (options.select_pushdown && input->kind() == PlanKind::kRecursive) {
+      std::vector<ConditionPtr> all, source, keep;
+      Conjuncts(cond, &all);
+      for (const ConditionPtr& c : all) {
+        (RefersOnlyToFirstNode(*c) ? source : keep).push_back(c);
+      }
+      if (!source.empty()) {
+        Note("select-into-closure");
+        const ClosureSpec& closure = input->closure();
+        if (closure.source != nullptr) {
+          source.insert(source.begin(), closure.source);
+        }
+        return MaybeSelect(
+            keep, PlanNode::Recursive({closure.semantics, AndAll(source)},
+                                      input->child()));
+      }
     }
     // select-pushdown through ∪: σc(a ∪ b) → σc(a) ∪ σc(b).
     if (options.select_pushdown && input->kind() == PlanKind::kUnion) {
@@ -269,11 +297,14 @@ struct Rewriter {
     // recursive-idempotent: ϕs(ϕs(x)) = ϕs(x). Compositions of
     // s-compositions are s-compositions whose boundary prefixes already
     // satisfy s (prefix-closure holds for each semantics as argued in
-    // DESIGN.md), so the outer ϕ adds nothing.
+    // DESIGN.md), so the outer ϕ adds nothing. The outer's source is a
+    // filter on the result and carries over; a sourced inner ϕ is left
+    // alone, since the argument is for an inner ϕ over all of x.
     if (input->kind() == PlanKind::kRecursive &&
-        input->semantics() == node->semantics()) {
+        input->semantics() == node->semantics() &&
+        input->closure().source == nullptr) {
       Note("recursive-idempotent");
-      return input;
+      return PlanNode::Recursive(node->closure(), input->child());
     }
     return std::nullopt;
   }
@@ -506,7 +537,7 @@ struct Rewriter {
       case PlanKind::kDifference:
         return PlanNode::Difference(std::move(kids[0]), std::move(kids[1]));
       case PlanKind::kRecursive:
-        return PlanNode::Recursive(node->semantics(), std::move(kids[0]));
+        return PlanNode::Recursive(node->closure(), std::move(kids[0]));
       case PlanKind::kRestrict:
         return PlanNode::Restrict(node->semantics(), std::move(kids[0]));
       case PlanKind::kGroupBy:

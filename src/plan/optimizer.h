@@ -11,20 +11,28 @@
 ///      conditions go left, last.* go right, fixed-position conditions go
 ///      left when the left input has a statically fixed length that covers
 ///      every accessed position — Figure 6's rewrite)
-///   3. orderby-simplify  τθ(γψ(x)) drops ordering components that are
+///   3. select-into-closure  σc(ϕs(x)) → σc'(ϕ[s; src](x)): the top-level
+///      conjuncts of c that read only the first node become ϕ's source
+///      condition (ClosureSpec, plan.h), so the engines start only at the
+///      nodes it admits; last.*, len(), OR-mixed and multi-position
+///      conjuncts stay in σc'. Gated by select_pushdown.
+///   4. orderby-simplify  τθ(γψ(x)) drops ordering components that are
 ///      no-ops for ψ's organization (§6's τPG-after-γ∅ example); an empty
 ///      τ is removed
-///   4. union-dedup       x ∪ x → x (structural equality)
-///   5. project-all       π(*,*,*) over γ/τ chains → the underlying
+///   5. union-dedup       x ∪ x → x (structural equality)
+///   6. project-all       π(*,*,*) over γ/τ chains → the underlying
 ///      path-typed subtree (projection of everything is the identity)
-///   6. any-shortest      π(*,*,1)(τA(γST(ϕWalk(x)))) →
+///   7. any-shortest      π(*,*,1)(τA(γST(ϕWalk(x)))) →
 ///                        π(*,*,1)(τA(γST(ϕShortest(x)))) — only the
 ///      per-pair shortest survive the projection, so ϕ need not enumerate
 ///      non-shortest walks; this turns a diverging plan into a terminating
 ///      one while preserving the answer exactly (ties resolve canonically).
+///      It, all-shortest and global-shortest keep ϕ's source.
+///   8. recursive-idempotent  ϕs(ϕs(x)) → ϕs(x), keeping the outer source;
+///      it does not fire when the inner ϕ has a source.
 ///
 /// Semantics-changing rescue (opt-in, §7.3's example):
-///   7. walk-to-shortest  π(#p,#g,*)(τG(γL(ϕWalk(x)))) →
+///   9. walk-to-shortest  π(#p,#g,*)(τG(γL(ϕWalk(x)))) →
 ///                        π(#p,#g,*)(τG(γL(ϕShortest(x)))). The paper notes
 ///      this equivalence "just works well when the target graph does not
 ///      contain cycles" — it trades completeness of the walk enumeration

@@ -34,6 +34,12 @@ const char* PlanKindToString(PlanKind k) {
   return "?";
 }
 
+std::string ClosureSpec::ToString() const {
+  std::string out = PathSemanticsToString(semantics);
+  if (source != nullptr) out += "; " + source->ToString();
+  return out;
+}
+
 // The factory plumbing uses a tiny builder struct to keep PlanNode
 // immutable from the outside while writing its fields exactly once here.
 struct PlanBuilderAccess {
@@ -47,8 +53,8 @@ struct PlanBuilderAccess {
   static void SetCondition(PlanNode& n, ConditionPtr c) {
     n.condition_ = std::move(c);
   }
-  static void SetSemantics(PlanNode& n, PathSemantics s) {
-    n.semantics_ = s;
+  static void SetClosure(PlanNode& n, ClosureSpec c) {
+    n.closure_ = std::move(c);
   }
   static void SetGroupKey(PlanNode& n, GroupKey k) { n.group_key_ = k; }
   static void SetOrderKey(PlanNode& n, OrderKey k) { n.order_key_ = k; }
@@ -91,15 +97,15 @@ PlanPtr PlanNode::Difference(PlanPtr left, PlanPtr right) {
                                  {std::move(left), std::move(right)});
 }
 
-PlanPtr PlanNode::Recursive(PathSemantics semantics, PlanPtr input) {
+PlanPtr PlanNode::Recursive(ClosureSpec closure, PlanPtr input) {
   auto n = PlanBuilderAccess::Make(PlanKind::kRecursive, {std::move(input)});
-  PlanBuilderAccess::SetSemantics(*n, semantics);
+  PlanBuilderAccess::SetClosure(*n, std::move(closure));
   return n;
 }
 
 PlanPtr PlanNode::Restrict(PathSemantics semantics, PlanPtr input) {
   auto n = PlanBuilderAccess::Make(PlanKind::kRestrict, {std::move(input)});
-  PlanBuilderAccess::SetSemantics(*n, semantics);
+  PlanBuilderAccess::SetClosure(*n, semantics);
   return n;
 }
 
@@ -240,9 +246,14 @@ bool PlanNode::Equals(const PlanNode& other) const {
       if (!condition_->Equals(*other.condition_)) return false;
       break;
     case PlanKind::kRecursive:
-    case PlanKind::kRestrict:
-      if (semantics_ != other.semantics_) return false;
+    case PlanKind::kRestrict: {
+      if (semantics() != other.semantics()) return false;
+      const ConditionPtr& a = closure_.source;
+      const ConditionPtr& b = other.closure_.source;
+      if ((a == nullptr) != (b == nullptr)) return false;
+      if (a != nullptr && !a->Equals(*b)) return false;
       break;
+    }
     case PlanKind::kGroupBy:
       if (group_key_ != other.group_key_) return false;
       break;
@@ -287,10 +298,10 @@ std::string PlanNode::ToAlgebraString() const {
       return "(" + children_[0]->ToAlgebraString() + " − " +
              children_[1]->ToAlgebraString() + ")";
     case PlanKind::kRecursive:
-      return std::string("ϕ[") + PathSemanticsToString(semantics_) + "](" +
+      return "ϕ[" + closure_.ToString() + "](" +
              children_[0]->ToAlgebraString() + ")";
     case PlanKind::kRestrict:
-      return std::string("ρ[") + PathSemanticsToString(semantics_) + "](" +
+      return std::string("ρ[") + PathSemanticsToString(semantics()) + "](" +
              children_[0]->ToAlgebraString() + ")";
     case PlanKind::kGroupBy:
       return std::string("γ[") + GroupKeyToString(group_key_) + "](" +
@@ -319,8 +330,7 @@ void AppendTree(const PlanNode& node, size_t depth, std::string& out) {
       out += "Select (" + node.condition()->ToString() + ")";
       break;
     case PlanKind::kRecursive:
-      out += std::string("Recursive (") +
-             PathSemanticsToString(node.semantics()) + ")";
+      out += "Recursive (" + node.closure().ToString() + ")";
       break;
     case PlanKind::kRestrict:
       out += std::string("Restrict (") +

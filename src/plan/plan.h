@@ -53,6 +53,23 @@ const char* PlanKindToString(PlanKind k);
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
+/// What a ϕ node computes: ϕ_semantics over its input, keeping only the
+/// paths whose first node satisfies `source` (null: every path). The
+/// select-into-closure rule (plan/optimizer.h) fills `source` from the
+/// first-node conjuncts of a σ over the ϕ; the evaluator resolves it to
+/// seed nodes once per evaluation (PhiSpec, algebra/recursive.h).
+/// Converts implicitly from PathSemantics, with no source.
+struct ClosureSpec {
+  ClosureSpec(PathSemantics s, ConditionPtr src = nullptr)
+      : semantics(s), source(std::move(src)) {}
+
+  /// `SHORTEST`, or `SHORTEST; first.name = "p3"` with a source.
+  std::string ToString() const;
+
+  PathSemantics semantics;
+  ConditionPtr source;
+};
+
 /// Static [min, max] bound on the length of any path an operator can emit;
 /// max is nullopt for "unbounded" (ϕ). Used by the optimizer to justify
 /// positional-condition pushdown.
@@ -70,7 +87,9 @@ class PlanNode {
   /// kSelect only.
   const ConditionPtr& condition() const { return condition_; }
   /// kRecursive and kRestrict.
-  PathSemantics semantics() const { return semantics_; }
+  PathSemantics semantics() const { return closure_.semantics; }
+  /// kRecursive only (a kRestrict's spec never has a source).
+  const ClosureSpec& closure() const { return closure_; }
   /// kGroupBy only.
   GroupKey group_key() const { return group_key_; }
   /// kOrderBy only.
@@ -111,7 +130,7 @@ class PlanNode {
   static PlanPtr Union(PlanPtr left, PlanPtr right);
   static PlanPtr Intersect(PlanPtr left, PlanPtr right);
   static PlanPtr Difference(PlanPtr left, PlanPtr right);
-  static PlanPtr Recursive(PathSemantics semantics, PlanPtr input);
+  static PlanPtr Recursive(ClosureSpec closure, PlanPtr input);
   static PlanPtr Restrict(PathSemantics semantics, PlanPtr input);
   static PlanPtr GroupBy(GroupKey key, PlanPtr input);
   static PlanPtr OrderBy(OrderKey key, PlanPtr input);
@@ -124,7 +143,7 @@ class PlanNode {
   PlanKind kind_ = PlanKind::kNodesScan;
   std::vector<PlanPtr> children_;
   ConditionPtr condition_;
-  PathSemantics semantics_ = PathSemantics::kWalk;
+  ClosureSpec closure_{PathSemantics::kWalk};
   GroupKey group_key_ = GroupKey::kNone;
   OrderKey order_key_ = OrderKey::kA;
   ProjectionSpec projection_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "algebra/condition.h"
 #include "workload/figure1.h"
 
@@ -148,6 +150,68 @@ TEST_F(ConditionTest, AnalysisFirstLast) {
   EXPECT_TRUE(RefersOnlyToLastNode(*LastLabelEq("Person")));
   EXPECT_FALSE(RefersOnlyToLastNode(*FirstLabelEq("Person")));
   EXPECT_FALSE(RefersOnlyToLastNode(*LenEq(1)));
+}
+
+/// A random condition that reads only the first node: atoms over
+/// label(first), first.pr, label(node(1)) and node(1).pr with every
+/// comparator, properties that some or no node has, and ∧ ∨ ¬ above them.
+ConditionPtr RandomFirstNodeCondition(std::mt19937_64& rng, int depth) {
+  if (depth > 0 && rng() % 2 == 0) {
+    ConditionPtr l = RandomFirstNodeCondition(rng, depth - 1);
+    switch (rng() % 3) {
+      case 0:
+        return Condition::Not(std::move(l));
+      case 1:
+        return Condition::And(std::move(l),
+                              RandomFirstNodeCondition(rng, depth - 1));
+      default:
+        return Condition::Or(std::move(l),
+                             RandomFirstNodeCondition(rng, depth - 1));
+    }
+  }
+  const AccessKind accesses[] = {AccessKind::kFirstLabel,
+                                 AccessKind::kFirstProp,
+                                 AccessKind::kNodeLabel, AccessKind::kNodeProp};
+  const char* properties[] = {"name", "content", "missing"};
+  const Value constants[] = {Value("Moe"), Value("Person"), Value("M"),
+                             Value("Message"), Value(3), Value("")};
+  const AccessKind access = accesses[rng() % 4];
+  const bool positional = access == AccessKind::kNodeLabel ||
+                          access == AccessKind::kNodeProp;
+  const bool prop = access == AccessKind::kFirstProp ||
+                    access == AccessKind::kNodeProp;
+  return Condition::MakeSimple(
+      access, positional ? 1 : 0, prop ? properties[rng() % 3] : "",
+      static_cast<CompareOp>(rng() % 9), constants[rng() % 6]);
+}
+
+TEST_F(ConditionTest, FirstNodeConditionsReadTheSameOnTheZeroLengthPath) {
+  // The σ seek and ϕ's seed resolution decide a first-node condition per
+  // node, on Path::SingleNode(n): that must agree with every path from n.
+  std::mt19937_64 rng(20261018);
+  size_t true_seen = 0, false_seen = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    // A random walk of length 0..4 from a random node.
+    std::vector<NodeId> nodes = {
+        static_cast<NodeId>(rng() % g_.num_nodes())};
+    std::vector<EdgeId> edges;
+    for (size_t len = rng() % 5; len > 0; --len) {
+      const NeighborRange out = g_.OutEdges(nodes.back());
+      if (out.empty()) break;
+      const EdgeId e = out.begin()[rng() % out.size()];
+      edges.push_back(e);
+      nodes.push_back(g_.Target(e));
+    }
+    const Path p(nodes, edges);
+    const ConditionPtr c = RandomFirstNodeCondition(rng, 2);
+    ASSERT_TRUE(RefersOnlyToFirstNode(*c)) << c->ToString();
+    const bool on_path = c->Evaluate(g_, p);
+    EXPECT_EQ(c->Evaluate(g_, Path::SingleNode(p.First())), on_path)
+        << c->ToString() << " on " << p.ToString(g_);
+    (on_path ? true_seen : false_seen) += 1;
+  }
+  EXPECT_GT(true_seen, 100u);
+  EXPECT_GT(false_seen, 100u);
 }
 
 TEST_F(ConditionTest, AnalysisLenAndPositions) {

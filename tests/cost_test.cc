@@ -90,6 +90,26 @@ TEST(CostTest, SelectiveFilterReducesEstimatedCost) {
             EstimateCost(knows, stats).cost);
 }
 
+TEST(CostTest, SourcedClosureEstimatesLikeTheSelectAboveIt) {
+  // select-into-closure turns σ_src(ϕ(R)) into ϕ[src](R); the estimate
+  // must keep the cardinality and count the smaller ϕ as cheaper.
+  GraphStats stats = GraphStats::Collect(MakeFigure1Graph());
+  PlanPtr knows =
+      PlanNode::Select(EdgeLabelEq(1, "Knows"), PlanNode::EdgesScan());
+  for (PathSemantics sem : {PathSemantics::kTrail, PathSemantics::kShortest}) {
+    ConditionPtr src = Condition::And(FirstPropEq("name", Value("Moe")),
+                                      FirstLabelEq("Person"));
+    PlanPtr above = PlanNode::Select(src, PlanNode::Recursive(sem, knows));
+    PlanPtr inside = PlanNode::Recursive({sem, src}, knows);
+    const CostEstimate a = EstimateCost(above, stats);
+    const CostEstimate b = EstimateCost(inside, stats);
+    EXPECT_DOUBLE_EQ(a.cardinality, b.cardinality);
+    EXPECT_LT(b.cardinality,
+              EstimateCost(PlanNode::Recursive(sem, knows), stats).cardinality);
+    EXPECT_LT(b.cost, a.cost);
+  }
+}
+
 TEST(CostTest, NullPlanIsFree) {
   GraphStats stats;
   EXPECT_DOUBLE_EQ(EstimateCost(nullptr, stats).cost, 0.0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -237,6 +238,93 @@ TEST(QueryEngineTest, PointReadShapesSeekInsteadOfScanning) {
     }
   }
   EXPECT_GT(answers, 0u);
+}
+
+/// The social graph the served closure_analytics workload runs on.
+std::shared_ptr<const PropertyGraph> ClosureAnalyticsGraph() {
+  auto graph = BuildWorkloadGraph(
+      "social persons=100 messages=200 ring=2 chords=100 likes=2 seed=7");
+  if (!graph.ok()) return nullptr;
+  return std::make_shared<const PropertyGraph>(std::move(*graph));
+}
+
+// The closure_analytics source-filtered closures: select-into-closure
+// moves each start-node filter into ϕ, and the answers stay pinned on both
+// ϕ engines (kNaive runs the unseeded closure and filters it).
+TEST(QueryEngineTest, SourceFilteredClosuresSeedThePhi) {
+  const auto shared = ClosureAnalyticsGraph();
+  ASSERT_NE(shared, nullptr);
+  const struct {
+    const char* text;
+    size_t answer;
+    const char* closure;
+  } cases[] = {
+      {"MATCH ANY SHORTEST p = (?x {name:\"person3\"})-[:Knows+]->(?y)", 100,
+       "ϕ[SHORTEST; first.name = \"person3\"]"},
+      {"MATCH ALL SHORTEST p = (?x {name:\"person3\"})-[:Knows+]->"
+       "(?y {name:\"person60\"})",
+       2, "ϕ[SHORTEST; first.name = \"person3\"]"},
+      {"MATCH ALL PARTITIONS ALL GROUPS 1 PATHS SHORTEST p = "
+       "(?x {name:\"person2\"})-[(:Knows)+]->(?y) GROUP BY TARGET ORDER BY "
+       "PATH",
+       100, "ϕ[SHORTEST; first.name = \"person2\"]"},
+      {"MATCH ANY SHORTEST p = (?x {name:\"person1\"})-[(:Knows/:Likes/"
+       ":Has_creator)+]->(?y)",
+       91, "ϕ[SHORTEST; first.name = \"person1\"]"},
+  };
+  for (const auto& c : cases) {
+    std::optional<PathSet> optimized_answer;
+    for (PhiEngine engine : {PhiEngine::kOptimized, PhiEngine::kNaive}) {
+      EngineOptions options;
+      options.query.eval.engine = engine;
+      QueryEngine eng(shared, options);
+      auto prepared = eng.Prepare(c.text);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      const std::string algebra =
+          (*prepared)->effective_plan->ToAlgebraString();
+      EXPECT_NE(algebra.find(c.closure), std::string::npos) << algebra;
+      auto r = eng.ExecutePrepared(**prepared);
+      ASSERT_TRUE(r.ok()) << r.status() << " " << c.text;
+      EXPECT_EQ(r->size(), c.answer) << c.text;
+      if (optimized_answer.has_value()) {
+        EXPECT_EQ(*r, *optimized_answer) << c.text;
+      } else {
+        optimized_answer = std::move(*r);
+      }
+    }
+  }
+}
+
+// A budget trip names the semantics it enumerated: only WALK answers can
+// be infinite. The text is the same on every engine.
+TEST(QueryEngineTest, BudgetMessageNamesTheSemantics) {
+  const auto shared = ClosureAnalyticsGraph();
+  ASSERT_NE(shared, nullptr);
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"MATCH ANY TRAIL p = (?x {name:\"person3\"})-[:Knows+]->(?y)",
+       "path enumeration exceeded budget (max_paths); the TRAIL answer set "
+       "is finite but larger than the budget — narrow the query, raise the "
+       "budget, or use truncate=true"},
+      {"MATCH ALL WALK p = (?x {name:\"person3\"})-[:Knows+]->(?y)",
+       "path enumeration exceeded budget (max_paths); the answer set may be "
+       "infinite under WALK semantics — use a restrictor, a length bound, "
+       "or truncate=true"},
+  };
+  for (const auto& c : cases) {
+    for (PhiEngine engine : {PhiEngine::kOptimized, PhiEngine::kNaive}) {
+      EngineOptions options;
+      options.query.eval.engine = engine;
+      options.query.eval.limits.max_paths = 2000;
+      QueryEngine eng(shared, options);
+      auto r = eng.Execute(c.text);
+      ASSERT_FALSE(r.ok()) << c.text;
+      EXPECT_TRUE(r.status().IsResourceExhausted());
+      EXPECT_EQ(r.status().message(), c.message) << c.text;
+    }
+  }
 }
 
 TEST(QueryEngineTest, ParseErrorIsCountedAndNotCached) {

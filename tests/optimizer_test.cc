@@ -396,6 +396,148 @@ TEST_F(OptimizerTest, RulesCanBeDisabled) {
 }
 
 // ---------------------------------------------------------------------------
+// select-into-closure: first-node conjuncts of σ over ϕ become ϕ's source.
+// ---------------------------------------------------------------------------
+TEST_F(OptimizerTest, SelectIntoClosureMovesFirstNodeConjuncts) {
+  PlanPtr plan = PlanNode::Select(
+      Condition::And(FirstPropEq("name", Value("Moe")),
+                     NodeLabelEq(1, "Person")),
+      PlanNode::Recursive(PathSemantics::kTrail, KnowsEdgesPlan()));
+  OptimizeResult opt = Optimize(plan);
+  EXPECT_TRUE(Applied(opt, "select-into-closure"));
+  PlanPtr want = PlanNode::Recursive(
+      {PathSemantics::kTrail,
+       Condition::And(FirstPropEq("name", Value("Moe")),
+                      NodeLabelEq(1, "Person"))},
+      KnowsEdgesPlan());
+  EXPECT_TRUE(opt.plan->Equals(*want)) << opt.plan->ToAlgebraString();
+  EXPECT_EQ(opt.plan->ToAlgebraString(),
+            "ϕ[TRAIL; (first.name = \"Moe\" AND label(node(1)) = "
+            "\"Person\")](σ[label(edge(1)) = \"Knows\"](Edges(G)))");
+  for (PhiEngine engine : {PhiEngine::kOptimized, PhiEngine::kNaive}) {
+    EvalOptions options;
+    options.engine = engine;
+    auto before = Evaluate(g_, plan, options);
+    auto after = Evaluate(g_, opt.plan, options);
+    ASSERT_TRUE(before.ok() && after.ok());
+    EXPECT_EQ(before->paths(), after->paths());
+    // Moe's Knows trails: n1→n2, then on to n3 or n4, and n1→n2→n3→n2
+    // with its extension to n4.
+    EXPECT_EQ(after->size(), 5u);
+  }
+}
+
+TEST_F(OptimizerTest, SelectIntoClosureLeavesOtherConjunctsInSelect) {
+  // last.*, len(), OR-mixed and multi-position conjuncts stay in σ; the
+  // first-node one moves.
+  ConditionPtr stay = Condition::And(
+      Condition::And(Condition::And(LastPropEq("name", Value("Apu")),
+                                    LenCompare(CompareOp::kLe, 3)),
+                     Condition::Or(FirstPropEq("name", Value("Moe")),
+                                   LastPropEq("name", Value("Apu")))),
+      Condition::Or(NodeLabelEq(1, "Person"), NodeLabelEq(2, "Person")));
+  PlanPtr blocked = PlanNode::Select(
+      stay, PlanNode::Recursive(PathSemantics::kAcyclic, KnowsEdgesPlan()));
+  OptimizeResult none = Optimize(blocked);
+  EXPECT_FALSE(Applied(none, "select-into-closure"));
+  EXPECT_TRUE(none.plan->Equals(*blocked)) << none.plan->ToAlgebraString();
+
+  PlanPtr mixed = PlanNode::Select(
+      Condition::And(stay, FirstPropEq("name", Value("Moe"))),
+      PlanNode::Recursive(PathSemantics::kAcyclic, KnowsEdgesPlan()));
+  OptimizeResult opt = Optimize(mixed);
+  EXPECT_TRUE(Applied(opt, "select-into-closure"));
+  PlanPtr want = PlanNode::Select(
+      stay, PlanNode::Recursive({PathSemantics::kAcyclic,
+                                 FirstPropEq("name", Value("Moe"))},
+                                KnowsEdgesPlan()));
+  EXPECT_TRUE(opt.plan->Equals(*want)) << opt.plan->ToAlgebraString();
+  auto before = Evaluate(g_, mixed);
+  auto after = Evaluate(g_, opt.plan);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_EQ(before->paths(), after->paths());
+}
+
+TEST_F(OptimizerTest, SelectIntoClosureIsGatedBySelectPushdown) {
+  PlanPtr plan = PlanNode::Select(
+      FirstPropEq("name", Value("Moe")),
+      PlanNode::Recursive(PathSemantics::kTrail, KnowsEdgesPlan()));
+  OptimizerOptions off;
+  off.select_pushdown = false;
+  OptimizeResult opt = Optimize(plan, off);
+  EXPECT_FALSE(Applied(opt, "select-into-closure"));
+  EXPECT_TRUE(opt.plan->Equals(*plan));
+}
+
+TEST_F(OptimizerTest, ShortestRewritesFireWhicheverRuleRunsFirst) {
+  // any-shortest, all-shortest and global-shortest must keep firing when
+  // the endpoint filter has already moved into ϕ's source, and when it
+  // has not (select_pushdown off).
+  auto over = [&](OrderKey order, GroupKey group, ProjectionSpec spec) {
+    return PlanNode::Project(
+        spec, PlanNode::OrderBy(
+                  order, PlanNode::GroupBy(
+                             group, PlanNode::Select(
+                                        FirstPropEq("name", Value("Moe")),
+                                        PlanNode::Recursive(
+                                            PathSemantics::kWalk,
+                                            KnowsEdgesPlan())))));
+  };
+  const struct {
+    PlanPtr plan;
+    const char* rule;
+    size_t answer;
+  } cases[] = {
+      {over(OrderKey::kA, GroupKey::kST, {std::nullopt, std::nullopt, 1}),
+       "any-shortest", 3},
+      {over(OrderKey::kG, GroupKey::kSTL, {std::nullopt, 1, std::nullopt}),
+       "any-shortest", 3},
+      {over(OrderKey::kG, GroupKey::kL, {std::nullopt, 1, std::nullopt}),
+       "global-shortest", 1},
+  };
+  EvalOptions tight;
+  tight.limits.max_path_length = 32;
+  for (const auto& c : cases) {
+    OptimizerOptions no_pushdown;
+    no_pushdown.select_pushdown = false;
+    for (const OptimizerOptions& options : {OptimizerOptions{}, no_pushdown}) {
+      OptimizeResult opt = Optimize(c.plan, options);
+      EXPECT_TRUE(Applied(opt, c.rule)) << opt.plan->ToAlgebraString();
+      EXPECT_EQ(Applied(opt, "select-into-closure"), options.select_pushdown);
+      auto r = Evaluate(g_, opt.plan, tight);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->size(), c.answer) << opt.plan->ToAlgebraString();
+    }
+  }
+}
+
+TEST_F(OptimizerTest, RecursiveIdempotentRefusesASourcedInnerPhi) {
+  PlanPtr sourced_inner = PlanNode::Recursive(
+      PathSemantics::kTrail,
+      PlanNode::Recursive(
+          {PathSemantics::kTrail, FirstPropEq("name", Value("Moe"))},
+          KnowsEdgesPlan()));
+  OptimizeResult opt = Optimize(sourced_inner);
+  EXPECT_FALSE(Applied(opt, "recursive-idempotent"));
+  EXPECT_TRUE(opt.plan->Equals(*sourced_inner));
+
+  // An outer source is a filter on the result and carries over.
+  PlanPtr sourced_outer = PlanNode::Recursive(
+      {PathSemantics::kTrail, FirstPropEq("name", Value("Moe"))},
+      PlanNode::Recursive(PathSemantics::kTrail, KnowsEdgesPlan()));
+  OptimizeResult carried = Optimize(sourced_outer);
+  EXPECT_TRUE(Applied(carried, "recursive-idempotent"));
+  EXPECT_TRUE(carried.plan->Equals(*PlanNode::Recursive(
+      {PathSemantics::kTrail, FirstPropEq("name", Value("Moe"))},
+      KnowsEdgesPlan())))
+      << carried.plan->ToAlgebraString();
+  auto before = Evaluate(g_, sourced_outer);
+  auto after = Evaluate(g_, carried.plan);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_EQ(*before, *after);
+}
+
+// ---------------------------------------------------------------------------
 // Property: optimization preserves results on random graphs.
 // ---------------------------------------------------------------------------
 TEST(OptimizerPropertyTest, OptimizedPlansPreserveResults) {

@@ -134,6 +134,33 @@ TEST_F(PlanTest, TreePrinter) {
             "  Nodes(G)\n");
 }
 
+TEST_F(PlanTest, ClosureSourceIsPrintedAndCompared) {
+  PlanPtr sourced = PlanNode::Recursive(
+      {PathSemantics::kShortest, FirstPropEq("name", Value("person3"))},
+      KnowsEdgesPlan());
+  EXPECT_EQ(sourced->ToAlgebraString(),
+            "ϕ[SHORTEST; first.name = \"person3\"](σ[label(edge(1)) = "
+            "\"Knows\"](Edges(G)))");
+  EXPECT_EQ(sourced->ToTreeString(),
+            "Recursive (SHORTEST; first.name = \"person3\")\n"
+            "  Select (label(edge(1)) = \"Knows\")\n"
+            "    Edges(G)\n");
+  PlanPtr same = PlanNode::Recursive(
+      {PathSemantics::kShortest, FirstPropEq("name", Value("person3"))},
+      KnowsEdgesPlan());
+  PlanPtr other_source = PlanNode::Recursive(
+      {PathSemantics::kShortest, FirstPropEq("name", Value("person4"))},
+      KnowsEdgesPlan());
+  PlanPtr unsourced =
+      PlanNode::Recursive(PathSemantics::kShortest, KnowsEdgesPlan());
+  EXPECT_TRUE(sourced->Equals(*same));
+  EXPECT_FALSE(sourced->Equals(*other_source));
+  EXPECT_FALSE(sourced->Equals(*unsourced));
+  EXPECT_FALSE(unsourced->Equals(*sourced));
+  EXPECT_EQ(unsourced->ToAlgebraString(),
+            "ϕ[SHORTEST](σ[label(edge(1)) = \"Knows\"](Edges(G)))");
+}
+
 // ---------------------------------------------------------------------------
 // Evaluator: the paper's figures end-to-end.
 // ---------------------------------------------------------------------------
