@@ -243,7 +243,7 @@ void PrintArtifact() {
     const PathSet joined = RunJoin(1);
     std::vector<std::pair<Path, size_t>> candidates;
     candidates.reserve(joined.size());
-    for (const Path& p : joined) candidates.emplace_back(p, p.Hash());
+    for (PathRef p : joined) candidates.emplace_back(p, p.Hash());
     auto merge_insert = [&] {
       PathSet s;
       for (const auto& [p, h] : candidates) s.Insert(p);
@@ -306,7 +306,7 @@ void BM_MergePhase(benchmark::State& state) {
   const PathSet joined = RunJoin(1);
   std::vector<std::pair<Path, size_t>> candidates;
   candidates.reserve(joined.size());
-  for (const Path& p : joined) candidates.emplace_back(p, p.Hash());
+  for (PathRef p : joined) candidates.emplace_back(p, p.Hash());
   for (auto _ : state) {
     PathSet s;
     if (hashed) {

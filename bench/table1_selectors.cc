@@ -40,9 +40,9 @@ void PrintTable1() {
                 SelectorSemantics(sel.kind));
 
     // Verify each selector's contract against the full trail answer.
-    std::map<std::pair<NodeId, NodeId>, std::vector<const Path*>> pairs;
-    for (const Path& p : trails) {
-      pairs[{p.First(), p.Last()}].push_back(&p);
+    std::map<std::pair<NodeId, NodeId>, std::vector<PathRef>> pairs;
+    for (PathRef p : trails) {
+      pairs[{p.First(), p.Last()}].push_back(p);
     }
     switch (sel.kind) {
       case SelectorKind::kAll:
@@ -70,11 +70,11 @@ void PrintTable1() {
         size_t want = 0;
         for (const auto& [key, paths] : pairs) {
           std::set<size_t> lens;
-          for (const Path* p : paths) lens.insert(p->Len());
+          for (PathRef p : paths) lens.insert(p.Len());
           size_t kept_groups = std::min(lens.size(), sel.k);
           auto it = lens.begin();
           for (size_t i = 0; i < kept_groups; ++i, ++it) {
-            for (const Path* p : paths) want += (p->Len() == *it) ? 1 : 0;
+            for (PathRef p : paths) want += (p.Len() == *it) ? 1 : 0;
           }
         }
         Check(result.size() == want, "first k groups per partition");

@@ -34,7 +34,7 @@ void PrintTable2() {
     if (sem == PathSemantics::kWalk) size = "inf (" + size + " at len<=6)";
     std::printf("%-10s %-8s %s\n", PathSemanticsToString(sem), size.c_str(),
                 RestrictorSemantics(sem));
-    for (const Path& p : result) {
+    for (PathRef p : result) {
       Check(SatisfiesSemantics(p, sem), "restrictor contract");
     }
   }

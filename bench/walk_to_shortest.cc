@@ -51,7 +51,7 @@ void PrintSection73() {
   auto terminates = Evaluate(g, opt.plan, tight);
   Check(terminates.ok(), "ϕShortest plan terminates");
   // π(1,1,*) of τG(γL(·)) keeps the globally shortest paths: length 1.
-  for (const Path& p : *terminates) {
+  for (PathRef p : *terminates) {
     Check(p.Len() == 1, "first length-group = the four Knows edges");
   }
   Check(terminates->size() == 4, "four globally shortest paths");

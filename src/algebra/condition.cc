@@ -61,7 +61,7 @@ bool Compare(const Value& lhs, CompareOp op, const Value& rhs) {
 /// Resolves the access of a simple condition; nullopt when the accessed
 /// label/property/position does not exist.
 std::optional<Value> Access(const Condition& c, const PropertyGraph& g,
-                            const Path& p) {
+                            PathRef p) {
   switch (c.access()) {
     case AccessKind::kNodeLabel: {
       std::string_view l = LabelOfNodeAt(g, p, c.position());
@@ -135,7 +135,7 @@ std::string AccessToString(const Condition& c) {
 
 }  // namespace
 
-bool Condition::Evaluate(const PropertyGraph& g, const Path& p) const {
+bool Condition::Evaluate(const PropertyGraph& g, PathRef p) const {
   switch (kind_) {
     case Kind::kSimple: {
       std::optional<Value> lhs = Access(*this, g, p);

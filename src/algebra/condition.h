@@ -77,7 +77,7 @@ class Condition {
   const ConditionPtr& right() const { return right_; }
 
   /// ev(c, p) of §3.1: evaluates this condition over `p` in `g`.
-  bool Evaluate(const PropertyGraph& g, const Path& p) const;
+  bool Evaluate(const PropertyGraph& g, PathRef p) const;
 
   /// Renders in the paper's syntax, e.g. `label(edge(1)) = "Knows"`,
   /// `(first.name = "Moe" AND last.name = "Apu")`.

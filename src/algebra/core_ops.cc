@@ -10,15 +10,14 @@ namespace pathalg {
 PathSet Select(const PropertyGraph& g, const PathSet& s,
                const Condition& condition, const ParallelOptions& parallel,
                ParallelStats* parallel_stats) {
-  const std::vector<Path>& in = s.paths();
-  if (!parallel.ShouldParallelize(in.size())) {
+  if (!parallel.ShouldParallelize(s.size())) {
     if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
       ++parallel_stats->serial_fallbacks;
     }
     PathSet out;
-    for (size_t i = 0; i < in.size(); ++i) {
-      if (condition.Evaluate(g, in[i])) {
-        out.InsertHashed(in[i], s.hash_of(i));
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (condition.Evaluate(g, s[i])) {
+        out.InsertHashed(s[i], s.hash_of(i));
       }
     }
     return out;
@@ -29,15 +28,15 @@ PathSet Select(const PropertyGraph& g, const PathSet& s,
   // duplicate-free, so insertion order is the whole story). Chunk bodies
   // carry each kept path's hash so the serial merge never rehashes —
   // that recomputation was the merge phase's Amdahl ceiling.
-  const ChunkLayout layout = ThreadPool::PlanFor(in.size(), parallel);
+  const ChunkLayout layout = ThreadPool::PlanFor(s.size(), parallel);
   std::vector<std::vector<std::pair<Path, size_t>>> kept(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
-      in.size(), parallel, parallel_stats,
+      s.size(), parallel, parallel_stats,
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<std::pair<Path, size_t>>& mine = kept[chunk];
         for (size_t i = begin; i < end; ++i) {
-          if (condition.Evaluate(g, in[i])) {
-            mine.emplace_back(in[i], s.hash_of(i));
+          if (condition.Evaluate(g, s[i])) {
+            mine.emplace_back(Path(s[i]), s.hash_of(i));
           }
         }
       });
@@ -55,13 +54,12 @@ namespace {
 template <typename Extend>
 PathSet ProbeJoin(const PathSet& s1, const ParallelOptions& parallel,
                   ParallelStats* parallel_stats, const Extend& extend) {
-  const std::vector<Path>& probe = s1.paths();
-  if (!parallel.ShouldParallelize(probe.size())) {
+  if (!parallel.ShouldParallelize(s1.size())) {
     if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
       ++parallel_stats->serial_fallbacks;
     }
     PathSet out;
-    for (const Path& p1 : probe) {
+    for (PathRef p1 : s1) {
       extend(p1, [&](Path q) { out.Insert(std::move(q)); });
     }
     return out;
@@ -72,15 +70,15 @@ PathSet ProbeJoin(const PathSet& s1, const ParallelOptions& parallel,
   // the serial loop would (a ◦ can collide when zero-length paths join).
   // Hashing each concatenation happens in the chunk body, off the merge
   // thread.
-  const ChunkLayout layout = ThreadPool::PlanFor(probe.size(), parallel);
+  const ChunkLayout layout = ThreadPool::PlanFor(s1.size(), parallel);
   std::vector<std::vector<std::pair<Path, size_t>>> produced(
       layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
-      probe.size(), parallel, parallel_stats,
+      s1.size(), parallel, parallel_stats,
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<std::pair<Path, size_t>>& mine = produced[chunk];
         for (size_t i = begin; i < end; ++i) {
-          extend(probe[i], [&](Path q) {
+          extend(s1[i], [&](Path q) {
             const size_t h = q.Hash();
             mine.emplace_back(std::move(q), h);
           });
@@ -102,9 +100,9 @@ PathSet Join(const PathSet& s1, const PathSet& s2,
   // dense, so the per-p1 probe is an array index, not a hash lookup.
   PathFirstIndex by_first(s2);
   return ProbeJoin(s1, parallel, parallel_stats,
-                   [&](const Path& p1, const auto& emit) {
-                     for (const Path* p2 : by_first.ForFirst(p1.Last())) {
-                       emit(Path::ConcatUnchecked(p1, *p2));
+                   [&](PathRef p1, const auto& emit) {
+                     for (PathRef p2 : by_first.ForFirst(p1.Last())) {
+                       emit(Path::ConcatUnchecked(p1, p2));
                      }
                    });
 }
@@ -116,7 +114,7 @@ PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
   // for Last(p1) over EdgesWithLabelOf(g, label): both list the node's
   // L-edges in edge-id order.
   return ProbeJoin(s1, parallel, parallel_stats,
-                   [&](const Path& p1, const auto& emit) {
+                   [&](PathRef p1, const auto& emit) {
                      for (EdgeId e : g.OutEdgesWithLabel(p1.Last(), label)) {
                        emit(Path::ConcatUnchecked(p1, Path::EdgeOf(g, e)));
                      }

@@ -44,7 +44,7 @@ struct ChunkOutput {
 
 /// Restrictor before length: only *admissible* overlong candidates set
 /// *dropped (the eval_budget.h predicate).
-bool Admissible(const Path& q, PathSemantics semantics,
+bool Admissible(PathRef q, PathSemantics semantics,
                 const EvalLimits& limits, bool* dropped) {
   if (!SatisfiesSemantics(q, semantics)) return false;
   if (q.Len() <= limits.max_path_length) return true;
@@ -75,10 +75,10 @@ class SegmentWalker {
   }
 
   /// Appends every surviving one-segment extension of `prefix` to `out`.
-  void Extend(const Path& prefix, ChunkOutput* out) {
+  void Extend(PathRef prefix, ChunkOutput* out) {
     out_ = out;
-    nodes_ = prefix.nodes();
-    edges_ = prefix.edges();
+    nodes_.assign(prefix.nodes().begin(), prefix.nodes().end());
+    edges_.assign(prefix.edges().begin(), prefix.edges().end());
     Walk(prefix.Last(), nfa_.start());
   }
 
@@ -191,13 +191,13 @@ class BaseSource {
   void Seed(size_t i, ChunkOutput* out) const {
     if (!base_[i].empty() && spec_.Admits(base_[i].First()) &&
         Admissible(base_[i], spec_.semantics, limits_, &out->dropped)) {
-      out->candidates.emplace_back(base_[i], base_.hash_of(i));
+      out->candidates.emplace_back(Path(base_[i]), base_.hash_of(i));
     }
   }
 
-  void Extend(const Path& prefix, ChunkOutput* out) const {
-    for (const Path* segment : index_.ForFirst(prefix.Last())) {
-      Path q = Path::ConcatUnchecked(prefix, *segment);
+  void Extend(PathRef prefix, ChunkOutput* out) const {
+    for (PathRef segment : index_.ForFirst(prefix.Last())) {
+      Path q = Path::ConcatUnchecked(prefix, segment);
       if (!Admissible(q, spec_.semantics, limits_, &out->dropped)) continue;
       const size_t h = q.Hash();
       out->candidates.emplace_back(std::move(q), h);
@@ -269,7 +269,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                 source.Seed(i, out);
                 continue;
               }
-              const Path& prefix = acc.paths()[(*prefixes)[i]];
+              const PathRef prefix = acc[(*prefixes)[i]];
               // A closed simple path repeats its endpoint on any
               // extension.
               if (semantics == PathSemantics::kSimple && prefix.Len() > 0 &&
@@ -548,14 +548,10 @@ Result<PathSet> FrontierClosureOverBase(const PathSet& base, PhiSpec spec,
   }
   // Segments are ϕ0 only: an empty base path re-derives the prefix, and
   // one round 0 rejects fails every concatenation containing it too.
-  std::vector<Path> phi0;
   bool unused_dropped = false;  // round 0's own Seed calls report drops
-  for (const Path& p : base) {
-    if (!p.empty() && Admissible(p, semantics, limits, &unused_dropped)) {
-      phi0.push_back(p);
-    }
-  }
-  const PathFirstIndex index(phi0);
+  const PathFirstIndex index(base, [&](PathRef p) {
+    return Admissible(p, semantics, limits, &unused_dropped);
+  });
   return FrontierDfs(
       base.size(), [&] { return BaseSource(base, index, spec, limits); },
       semantics, limits, parallel, parallel_stats, /*stats=*/nullptr);

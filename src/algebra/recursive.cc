@@ -27,7 +27,7 @@ const char* PathSemanticsToString(PathSemantics s) {
   return "?";
 }
 
-bool SatisfiesSemantics(const Path& p, PathSemantics s) {
+bool SatisfiesSemantics(PathRef p, PathSemantics s) {
   switch (s) {
     case PathSemantics::kWalk:
     case PathSemantics::kShortest:
@@ -68,7 +68,7 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
   bool dropped = false;
 
   PathSet acc;  // ϕ_{i}(S), accumulated.
-  for (const Path& p : base) {
+  for (PathRef p : base) {
     if (p.empty()) continue;
     // Semantics before length: only *admissible* overlong candidates set
     // `dropped` (the eval_budget.h predicate).
@@ -116,15 +116,15 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
     // engine quadratic: older paths are re-joined every round).
     std::vector<Path> generated;
     uint32_t cancel_countdown = kCancelCheckStride;
-    for (const Path& p1 : acc) {
+    for (PathRef p1 : acc) {
       // A single quadratic round can dwarf the round boundary poll above;
       // the stride poll bounds cancellation latency inside it.
       if (limits.cancel != nullptr && --cancel_countdown == 0) {
         cancel_countdown = kCancelCheckStride;
         if (limits.cancel->Cancelled()) return EvalCancelled(*limits.cancel);
       }
-      for (const Path* p2 : index.ForFirst(p1.Last())) {
-        Path q = Path::ConcatUnchecked(p1, *p2);
+      for (PathRef p2 : index.ForFirst(p1.Last())) {
+        Path q = Path::ConcatUnchecked(p1, p2);
         if (!SatisfiesSemantics(q, semantics)) continue;
         if (q.Len() > limits.max_path_length) {
           dropped = true;
@@ -195,11 +195,11 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
   std::priority_queue<Path, std::vector<Path>, decltype(cmp)> heap(cmp);
   PathFirstIndex index(base);
 
-  for (const Path& p : base) {
+  for (PathRef p : base) {
     if (p.empty()) continue;
     if (p.Len() > limits.max_path_length) continue;
     if (!spec.Admits(p.First())) continue;
-    heap.push(p);
+    heap.push(Path(p));
   }
 
   BestMap best;
@@ -243,9 +243,9 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
           std::vector<Path>& mine = pushes[chunk];
           for (size_t i = begin; i < end; ++i) {
             const Path& p = layer[i];
-            for (const Path* b : index.ForFirst(p.Last())) {
-              if (b->Len() == 0) continue;  // identity ext., no progress
-              Path q = Path::ConcatUnchecked(p, *b);
+            for (PathRef b : index.ForFirst(p.Last())) {
+              if (b.Len() == 0) continue;  // identity ext., no progress
+              Path q = Path::ConcatUnchecked(p, b);
               if (q.Len() > limits.max_path_length) continue;
               auto qkey = std::make_pair(q.First(), q.Last());
               auto qit = best.find(qkey);
@@ -307,14 +307,14 @@ PathSet RestrictPaths(const PathSet& s, PathSemantics semantics) {
 
 PathSet KeepShortestPerEndpointPair(const PathSet& s) {
   BestMap best;
-  for (const Path& p : s) {
+  for (PathRef p : s) {
     auto key = std::make_pair(p.First(), p.Last());
     auto it = best.find(key);
     if (it == best.end() || p.Len() < it->second) best[key] = p.Len();
   }
   PathSet out;
   for (size_t i = 0; i < s.size(); ++i) {
-    const Path& p = s[i];
+    const PathRef p = s[i];
     // Every endpoint pair of s has an entry from the first loop.
     if (best.find(std::make_pair(p.First(), p.Last()))->second == p.Len()) {
       out.InsertHashed(p, s.hash_of(i));

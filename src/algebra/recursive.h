@@ -80,7 +80,7 @@ struct PhiSpec {
 
 /// True if `p` is admissible under `s`. Shortest is a set-level property
 /// and always returns true here; it is enforced by the ϕ engines.
-bool SatisfiesSemantics(const Path& p, PathSemantics s);
+bool SatisfiesSemantics(PathRef p, PathSemantics s);
 
 /// Budgets for a ϕ evaluation. ϕWalk over a cyclic input has an infinite
 /// answer (§4); the budgets make evaluation total. When a budget truncates

@@ -136,7 +136,7 @@ SolutionSpace GroupBy(PathSet s, GroupKey key) {
   };
   std::vector<Key> keys(n);
   for (size_t i = 0; i < n; ++i) {
-    const Path& p = ss.paths_[i];
+    const PathRef p = ss.paths_[i];
     keys[i] = {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId,
                use_l ? p.Len() : 0};
   }

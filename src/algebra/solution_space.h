@@ -70,7 +70,7 @@ class SolutionSpace {
   size_t num_groups() const { return group_paths_.size(); }
   size_t num_partitions() const { return partition_groups_.size(); }
 
-  const Path& path(size_t i) const { return paths_[i]; }
+  PathRef path(size_t i) const { return paths_[i]; }
   const std::vector<Path>& paths() const { return paths_; }
 
   /// α: the group containing path i.

@@ -343,7 +343,7 @@ Result<PathSet> EvaluateRpqAutomaton(const PropertyGraph& g,
   bool dropped = false;
   for (size_t c = 0; c < layout.num_chunks; ++c) {
     if (chunk_dropped[c] != 0) dropped = true;
-    for (const Path& p : results[c]) {
+    for (PathRef p : results[c]) {
       if (out.Contains(p)) continue;  // duplicates never trip the budget
       if (out.size() >= options.limits.max_paths) {
         if (options.limits.truncate) return out;

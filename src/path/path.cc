@@ -7,12 +7,14 @@
 
 namespace pathalg {
 
-Path::Path(std::vector<NodeId> nodes, std::vector<EdgeId> edges)
-    : nodes_(std::move(nodes)), edges_(std::move(edges)) {
-  assert(nodes_.size() == edges_.size() + 1);
+Path::Path(std::vector<NodeId> nodes, const std::vector<EdgeId>& edges)
+    : storage_(std::move(nodes)) {
+  assert(storage_.size() == edges.size() + 1);
+  storage_.insert(storage_.end(), edges.begin(), edges.end());
+  Bind();
 }
 
-Result<Path> Path::Concat(const Path& p1, const Path& p2) {
+Result<Path> Path::Concat(PathRef p1, PathRef p2) {
   if (p1.empty() || p2.empty()) {
     return Status::InvalidArgument("cannot concatenate an empty path");
   }
@@ -23,16 +25,16 @@ Result<Path> Path::Concat(const Path& p1, const Path& p2) {
   return ConcatUnchecked(p1, p2);
 }
 
-Path Path::ConcatUnchecked(const Path& p1, const Path& p2) {
-  std::vector<NodeId> nodes;
-  nodes.reserve(p1.nodes_.size() + p2.nodes_.size() - 1);
-  nodes = p1.nodes_;
-  nodes.insert(nodes.end(), p2.nodes_.begin() + 1, p2.nodes_.end());
-  std::vector<EdgeId> edges;
-  edges.reserve(p1.edges_.size() + p2.edges_.size());
-  edges = p1.edges_;
-  edges.insert(edges.end(), p2.edges_.begin(), p2.edges_.end());
-  return Path(std::move(nodes), std::move(edges));
+Path Path::ConcatUnchecked(PathRef p1, PathRef p2) {
+  Path out;
+  std::vector<uint32_t>& ids = out.storage_;
+  ids.reserve(p1.ids().size() + p2.ids().size() - 1);
+  ids.insert(ids.end(), p1.nodes().begin(), p1.nodes().end());
+  ids.insert(ids.end(), p2.nodes().begin() + 1, p2.nodes().end());
+  ids.insert(ids.end(), p1.edges().begin(), p1.edges().end());
+  ids.insert(ids.end(), p2.edges().begin(), p2.edges().end());
+  out.Bind();
+  return out;
 }
 
 namespace {
@@ -45,8 +47,7 @@ namespace {
 constexpr size_t kDistinctScanCutoff = 24;
 
 /// True iff xs[0, limit) are pairwise distinct (small-size scan).
-template <typename T>
-bool PrefixDistinctSmall(const std::vector<T>& xs, size_t limit) {
+bool PrefixDistinctSmall(IdSpan xs, size_t limit) {
   for (size_t i = 1; i < limit; ++i) {
     for (size_t j = 0; j < i; ++j) {
       if (xs[i] == xs[j]) return false;
@@ -55,9 +56,8 @@ bool PrefixDistinctSmall(const std::vector<T>& xs, size_t limit) {
   return true;
 }
 
-template <typename T>
-bool PrefixDistinctHashed(const std::vector<T>& xs, size_t limit) {
-  std::unordered_set<T> seen;
+bool PrefixDistinctHashed(IdSpan xs, size_t limit) {
+  std::unordered_set<uint32_t> seen;
   seen.reserve(limit);
   for (size_t i = 0; i < limit; ++i) {
     if (!seen.insert(xs[i]).second) return false;
@@ -65,51 +65,53 @@ bool PrefixDistinctHashed(const std::vector<T>& xs, size_t limit) {
   return true;
 }
 
-template <typename T>
-bool PrefixDistinct(const std::vector<T>& xs, size_t limit) {
+bool PrefixDistinct(IdSpan xs, size_t limit) {
   return limit <= kDistinctScanCutoff ? PrefixDistinctSmall(xs, limit)
                                       : PrefixDistinctHashed(xs, limit);
 }
 
 }  // namespace
 
-bool Path::IsAcyclic() const {
-  return PrefixDistinct(nodes_, nodes_.size());
+bool PathRef::IsAcyclic() const {
+  return PrefixDistinct(nodes(), nodes().size());
 }
 
-bool Path::IsSimple() const {
-  if (nodes_.size() <= 1) return true;
+bool PathRef::IsSimple() const {
+  const IdSpan ns = nodes();
+  if (ns.size() <= 1) return true;
   // All nodes but the last must be pairwise distinct; the last may repeat
   // only the first (closed simple path / cycle).
-  const size_t prefix = nodes_.size() - 1;
-  if (!PrefixDistinct(nodes_, prefix)) return false;
-  NodeId last = nodes_.back();
-  if (last == nodes_.front()) return true;
+  const size_t prefix = ns.size() - 1;
+  if (!PrefixDistinct(ns, prefix)) return false;
+  NodeId last = ns.back();
+  if (last == ns.front()) return true;
   for (size_t i = 1; i < prefix; ++i) {
-    if (nodes_[i] == last) return false;
+    if (ns[i] == last) return false;
   }
   return true;
 }
 
-bool Path::IsTrail() const {
-  return PrefixDistinct(edges_, edges_.size());
+bool PathRef::IsTrail() const {
+  return PrefixDistinct(edges(), edges().size());
 }
 
-Status Path::Validate(const PropertyGraph& g) const {
+Status PathRef::Validate(const PropertyGraph& g) const {
   if (empty()) return Status::InvalidArgument("empty path");
-  for (NodeId n : nodes_) {
+  const IdSpan ns = nodes();
+  const IdSpan es = edges();
+  for (NodeId n : ns) {
     if (!g.IsValidNode(n)) {
       return Status::InvalidArgument("path references unknown node #" +
                                      std::to_string(n));
     }
   }
-  for (size_t j = 0; j < edges_.size(); ++j) {
-    EdgeId e = edges_[j];
+  for (size_t j = 0; j < es.size(); ++j) {
+    EdgeId e = es[j];
     if (!g.IsValidEdge(e)) {
       return Status::InvalidArgument("path references unknown edge #" +
                                      std::to_string(e));
     }
-    if (g.Source(e) != nodes_[j] || g.Target(e) != nodes_[j + 1]) {
+    if (g.Source(e) != ns[j] || g.Target(e) != ns[j + 1]) {
       return Status::InvalidArgument(
           "edge " + std::string(g.EdgeName(e)) +
           " does not connect the adjacent path nodes (rho mismatch)");
@@ -118,38 +120,32 @@ Status Path::Validate(const PropertyGraph& g) const {
   return Status::OK();
 }
 
-bool Path::operator<(const Path& other) const {
-  if (Len() != other.Len()) return Len() < other.Len();
-  if (nodes_ != other.nodes_) return nodes_ < other.nodes_;
-  return edges_ < other.edges_;
+size_t PathRef::Hash() const {
+  size_t h = HashRange(nodes().begin(), nodes().end(), 0x70617468);
+  return HashRange(edges().begin(), edges().end(), h);
 }
 
-size_t Path::Hash() const {
-  size_t h = HashRange(nodes_.begin(), nodes_.end(), 0x70617468);
-  return HashRange(edges_.begin(), edges_.end(), h);
-}
-
-std::string Path::ToString(const PropertyGraph& g) const {
+std::string PathRef::ToString(const PropertyGraph& g) const {
   std::string out = "(";
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (i > 0) {
+  for (size_t i = 1; i <= nodes().size(); ++i) {
+    if (i > 1) {
       out += ", ";
-      out += g.EdgeName(edges_[i - 1]);
+      out += g.EdgeName(EdgeAt(i - 1));
       out += ", ";
     }
-    out += g.NodeName(nodes_[i]);
+    out += g.NodeName(NodeAt(i));
   }
   out += ")";
   return out;
 }
 
-std::string Path::ToString() const {
+std::string PathRef::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (i > 0) {
-      out += ", #" + std::to_string(edges_[i - 1]) + ", ";
+  for (size_t i = 1; i <= nodes().size(); ++i) {
+    if (i > 1) {
+      out += ", #" + std::to_string(EdgeAt(i - 1)) + ", ";
     }
-    out += "#" + std::to_string(nodes_[i]);
+    out += "#" + std::to_string(NodeAt(i));
   }
   out += ")";
   return out;

@@ -4,12 +4,16 @@
 
 namespace pathalg {
 
-std::vector<NodeId> NodesAlong(const Path& p) { return p.nodes(); }
+std::vector<NodeId> NodesAlong(PathRef p) {
+  return {p.nodes().begin(), p.nodes().end()};
+}
 
-std::vector<EdgeId> EdgesAlong(const Path& p) { return p.edges(); }
+std::vector<EdgeId> EdgesAlong(PathRef p) {
+  return {p.edges().begin(), p.edges().end()};
+}
 
 std::vector<std::optional<Value>> CollectNodeProperty(
-    const PropertyGraph& g, const Path& p, std::string_view key) {
+    const PropertyGraph& g, PathRef p, std::string_view key) {
   std::vector<std::optional<Value>> out;
   out.reserve(p.nodes().size());
   PropKeyId id = g.FindPropKey(key);
@@ -21,7 +25,7 @@ std::vector<std::optional<Value>> CollectNodeProperty(
 }
 
 std::vector<std::optional<Value>> CollectEdgeProperty(
-    const PropertyGraph& g, const Path& p, std::string_view key) {
+    const PropertyGraph& g, PathRef p, std::string_view key) {
   std::vector<std::optional<Value>> out;
   out.reserve(p.edges().size());
   PropKeyId id = g.FindPropKey(key);
@@ -33,7 +37,7 @@ std::vector<std::optional<Value>> CollectEdgeProperty(
 }
 
 std::vector<std::string> DistinctNodeLabels(const PropertyGraph& g,
-                                            const Path& p) {
+                                            PathRef p) {
   std::vector<std::string> out;
   std::unordered_set<LabelId> seen;
   for (NodeId n : p.nodes()) {
@@ -44,7 +48,7 @@ std::vector<std::string> DistinctNodeLabels(const PropertyGraph& g,
   return out;
 }
 
-std::optional<double> SumEdgeProperty(const PropertyGraph& g, const Path& p,
+std::optional<double> SumEdgeProperty(const PropertyGraph& g, PathRef p,
                                       std::string_view key) {
   PropKeyId id = g.FindPropKey(key);
   bool any = false;

@@ -19,29 +19,29 @@
 namespace pathalg {
 
 /// The nodes along p, in order — GQL's `nodes(p)` group variable.
-std::vector<NodeId> NodesAlong(const Path& p);
+std::vector<NodeId> NodesAlong(PathRef p);
 
 /// The edges along p, in order — GQL's `edges(p)`.
-std::vector<EdgeId> EdgesAlong(const Path& p);
+std::vector<EdgeId> EdgesAlong(PathRef p);
 
 /// The value of property `key` for every node along p, in order; absent
 /// properties yield nullopt entries (GQL's list comprehension over a group
 /// variable).
 std::vector<std::optional<Value>> CollectNodeProperty(
-    const PropertyGraph& g, const Path& p, std::string_view key);
+    const PropertyGraph& g, PathRef p, std::string_view key);
 
 /// Same for the edges along p.
 std::vector<std::optional<Value>> CollectEdgeProperty(
-    const PropertyGraph& g, const Path& p, std::string_view key);
+    const PropertyGraph& g, PathRef p, std::string_view key);
 
 /// The distinct node labels along p, in first-occurrence order.
 std::vector<std::string> DistinctNodeLabels(const PropertyGraph& g,
-                                            const Path& p);
+                                            PathRef p);
 
 /// Numeric aggregate over an edge property along p (e.g. total cost of a
 /// route). Missing or non-numeric values are skipped; nullopt when no edge
 /// carries the property.
-std::optional<double> SumEdgeProperty(const PropertyGraph& g, const Path& p,
+std::optional<double> SumEdgeProperty(const PropertyGraph& g, PathRef p,
                                       std::string_view key);
 
 }  // namespace pathalg

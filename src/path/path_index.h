@@ -8,6 +8,7 @@
 /// the operators used before — bucket lookup becomes one array index and a
 /// contiguous scan instead of a hash probe per frontier path.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,39 +17,45 @@
 
 namespace pathalg {
 
-/// Immutable index over paths owned elsewhere. The indexed container must
-/// outlive the index and must not reallocate while the index is in use
-/// (PathSet and std::vector<Path> are stable as long as nothing inserts).
+/// Immutable index over paths owned elsewhere: it holds PathRef views, so
+/// the indexed container must outlive the index and must not reallocate
+/// while the index is in use (a PathSet is stable as long as nothing
+/// inserts).
 class PathFirstIndex {
  public:
-  /// A contiguous run of pointers to paths sharing First(p).
+  /// A contiguous run of views of the paths sharing First(p).
   class Bucket {
    public:
     constexpr Bucket() = default;
-    constexpr Bucket(const Path* const* first, const Path* const* last)
+    constexpr Bucket(const PathRef* first, const PathRef* last)
         : begin_(first), end_(last) {}
-    const Path* const* begin() const { return begin_; }
-    const Path* const* end() const { return end_; }
+    const PathRef* begin() const { return begin_; }
+    const PathRef* end() const { return end_; }
     size_t size() const { return static_cast<size_t>(end_ - begin_); }
     bool empty() const { return begin_ == end_; }
 
    private:
-    const Path* const* begin_ = nullptr;
-    const Path* const* end_ = nullptr;
+    const PathRef* begin_ = nullptr;
+    const PathRef* end_ = nullptr;
   };
 
   PathFirstIndex() = default;
   explicit PathFirstIndex(const PathSet& paths) {
-    BuildFrom(paths.paths());
+    BuildFrom(paths, [](PathRef) { return true; });
   }
   explicit PathFirstIndex(const std::vector<Path>& paths) {
-    BuildFrom(paths);
+    BuildFrom(paths, [](PathRef) { return true; });
+  }
+  /// Indexes only the paths of `paths` for which `keep(p)` holds.
+  template <typename Keep>
+  PathFirstIndex(const PathSet& paths, const Keep& keep) {
+    BuildFrom(paths, keep);
   }
 
   /// Paths whose First() == n; empty bucket when none (or n out of range).
   Bucket ForFirst(NodeId n) const {
     if (size_t{n} + 1 >= offsets_.size()) return Bucket();
-    const Path* const* base = slots_.data();
+    const PathRef* base = slots_.data();
     return Bucket(base + offsets_[n], base + offsets_[n + 1]);
   }
 
@@ -56,12 +63,32 @@ class PathFirstIndex {
   bool empty() const { return slots_.empty(); }
 
  private:
-  void BuildFrom(const std::vector<Path>& paths);
+  /// Counting sort by First(p) of the non-empty kept paths; input order
+  /// within each bucket, so operators stay deterministic.
+  template <typename Paths, typename Keep>
+  void BuildFrom(const Paths& paths, const Keep& keep) {
+    slots_.reserve(paths.size());
+    for (PathRef p : paths) {
+      if (!p.empty() && keep(p)) slots_.push_back(p);
+    }
+    if (slots_.empty()) return;
+    NodeId max_first = 0;
+    for (PathRef p : slots_) max_first = std::max(max_first, p.First());
+    offsets_.assign(size_t{max_first} + 2, 0);
+    for (PathRef p : slots_) offsets_[size_t{p.First()} + 1]++;
+    for (size_t n = 0; n + 1 < offsets_.size(); ++n) {
+      offsets_[n + 1] += offsets_[n];
+    }
+    std::vector<PathRef> sorted(slots_.size());
+    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (PathRef p : slots_) sorted[cursor[p.First()]++] = p;
+    slots_ = std::move(sorted);
+  }
 
   // offsets_ has max(First)+2 entries; slots_[offsets_[n], offsets_[n+1])
   // are the paths starting at node n, in input order.
   std::vector<uint32_t> offsets_;
-  std::vector<const Path*> slots_;
+  std::vector<PathRef> slots_;
 };
 
 }  // namespace pathalg

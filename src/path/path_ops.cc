@@ -26,35 +26,35 @@ PathSet EdgesWithLabelOf(const PropertyGraph& g, LabelId label) {
   return out;
 }
 
-std::string_view LabelOfNodeAt(const PropertyGraph& g, const Path& p,
+std::string_view LabelOfNodeAt(const PropertyGraph& g, PathRef p,
                                size_t i) {
   NodeId n = p.NodeAt(i);
   if (n == kInvalidId) return {};
   return g.NodeLabel(n);
 }
 
-std::string_view LabelOfEdgeAt(const PropertyGraph& g, const Path& p,
+std::string_view LabelOfEdgeAt(const PropertyGraph& g, PathRef p,
                                size_t j) {
   EdgeId e = p.EdgeAt(j);
   if (e == kInvalidId) return {};
   return g.EdgeLabel(e);
 }
 
-const Value* PropOfNodeAt(const PropertyGraph& g, const Path& p, size_t i,
+const Value* PropOfNodeAt(const PropertyGraph& g, PathRef p, size_t i,
                           std::string_view key) {
   NodeId n = p.NodeAt(i);
   if (n == kInvalidId) return nullptr;
   return g.NodeProperty(n, key);
 }
 
-const Value* PropOfEdgeAt(const PropertyGraph& g, const Path& p, size_t j,
+const Value* PropOfEdgeAt(const PropertyGraph& g, PathRef p, size_t j,
                           std::string_view key) {
   EdgeId e = p.EdgeAt(j);
   if (e == kInvalidId) return nullptr;
   return g.EdgeProperty(e, key);
 }
 
-std::string PathWord(const PropertyGraph& g, const Path& p) {
+std::string PathWord(const PropertyGraph& g, PathRef p) {
   std::string out;
   for (size_t j = 1; j <= p.Len(); ++j) {
     out += std::string(LabelOfEdgeAt(g, p, j));

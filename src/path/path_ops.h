@@ -27,25 +27,25 @@ PathSet EdgesOf(const PropertyGraph& g);
 PathSet EdgesWithLabelOf(const PropertyGraph& g, LabelId label);
 
 /// Label(Node(p, i)); empty when i is out of range or the node unlabelled.
-std::string_view LabelOfNodeAt(const PropertyGraph& g, const Path& p,
+std::string_view LabelOfNodeAt(const PropertyGraph& g, PathRef p,
                                size_t i);
 
 /// Label(Edge(p, j)); empty when j is out of range or the edge unlabelled.
-std::string_view LabelOfEdgeAt(const PropertyGraph& g, const Path& p,
+std::string_view LabelOfEdgeAt(const PropertyGraph& g, PathRef p,
                                size_t j);
 
 /// Prop(Node(p, i), key); nullptr when absent.
-const Value* PropOfNodeAt(const PropertyGraph& g, const Path& p, size_t i,
+const Value* PropOfNodeAt(const PropertyGraph& g, PathRef p, size_t i,
                           std::string_view key);
 
 /// Prop(Edge(p, j), key); nullptr when absent.
-const Value* PropOfEdgeAt(const PropertyGraph& g, const Path& p, size_t j,
+const Value* PropOfEdgeAt(const PropertyGraph& g, PathRef p, size_t j,
                           std::string_view key);
 
 /// λ(p): the concatenation of the edge labels along p (§2.2). Unlabelled
 /// edges contribute nothing. Labels are separated by nothing, exactly as the
 /// paper's word-of-a-path definition.
-std::string PathWord(const PropertyGraph& g, const Path& p);
+std::string PathWord(const PropertyGraph& g, PathRef p);
 
 }  // namespace pathalg
 

@@ -35,11 +35,11 @@ bool PathSet::InsertHashed(Path p, size_t hash) {
   }
 }
 
-bool PathSet::Contains(const Path& p) const {
+bool PathSet::Contains(PathRef p) const {
   return ContainsHashed(p, p.Hash());
 }
 
-bool PathSet::ContainsHashed(const Path& p, size_t hash) const {
+bool PathSet::ContainsHashed(PathRef p, size_t hash) const {
   if (slots_.empty()) return false;
   const size_t mask = slots_.size() - 1;
   for (size_t s = hash & mask;; s = (s + 1) & mask) {
@@ -94,7 +94,7 @@ bool PathSet::operator==(const PathSet& other) const {
 std::string PathSet::ToString(const PropertyGraph& g) const {
   std::string out = "{";
   bool first = true;
-  for (const Path& p : Sorted()) {
+  for (PathRef p : Sorted()) {
     if (!first) out += ", ";
     first = false;
     out += p.ToString(g);

@@ -22,12 +22,45 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "path/path.h"
 
 namespace pathalg {
+
+/// Forward iterator over an indexable path container (anything with
+/// `PathRef operator[](size_t)`); dereferences to a PathRef by value.
+template <typename Container>
+class PathIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = PathRef;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = PathRef;
+
+  PathIterator() = default;
+  PathIterator(const Container* c, size_t i) : c_(c), i_(i) {}
+
+  PathRef operator*() const { return (*c_)[i_]; }
+  PathIterator& operator++() {
+    ++i_;
+    return *this;
+  }
+  PathIterator operator++(int) {
+    PathIterator old = *this;
+    ++i_;
+    return old;
+  }
+  bool operator==(const PathIterator& o) const { return i_ == o.i_; }
+  bool operator!=(const PathIterator& o) const { return i_ != o.i_; }
+
+ private:
+  const Container* c_ = nullptr;
+  size_t i_ = 0;
+};
 
 class PathSet {
  public:
@@ -43,25 +76,29 @@ class PathSet {
     const size_t h = p.Hash();
     return InsertHashed(std::move(p), h);
   }
+  bool Insert(PathRef p) { return InsertHashed(Path(p), p.Hash()); }
 
   /// Inserts `p` with its precomputed hash; precondition: hash == p.Hash().
   /// Byte-identical behavior to Insert — same dedup decisions, same
   /// insertion order — minus the hash computation on this thread.
   bool InsertHashed(Path p, size_t hash);
+  bool InsertHashed(PathRef p, size_t hash) {
+    return InsertHashed(Path(p), hash);
+  }
 
-  bool Contains(const Path& p) const;
+  bool Contains(PathRef p) const;
 
   /// Contains with a caller-computed hash; precondition: hash == p.Hash().
   /// The dedup-aware budget checks (algebra/eval_budget.h) probe candidates
   /// that were hashed off the merge thread.
-  bool ContainsHashed(const Path& p, size_t hash) const;
+  bool ContainsHashed(PathRef p, size_t hash) const;
 
   size_t size() const { return paths_.size(); }
   bool empty() const { return paths_.empty(); }
 
-  const Path& operator[](size_t i) const { return paths_[i]; }
-  std::vector<Path>::const_iterator begin() const { return paths_.begin(); }
-  std::vector<Path>::const_iterator end() const { return paths_.end(); }
+  PathRef operator[](size_t i) const { return paths_[i]; }
+  PathIterator<PathSet> begin() const { return {this, 0}; }
+  PathIterator<PathSet> end() const { return {this, size()}; }
   const std::vector<Path>& paths() const { return paths_; }
 
   /// The stored hash of paths()[i] (== paths()[i].Hash()). Set-to-set

@@ -133,7 +133,7 @@ TEST_P(AlgebraLawsTest, PhiLaws) {
     PathSet twice = *Recursive(once, sem);
     EXPECT_EQ(once, twice) << PathSemanticsToString(sem);
     // ϕ(S) ⊇ filtered S (the base is included).
-    for (const Path& p : RestrictPaths(a_, sem)) {
+    for (PathRef p : RestrictPaths(a_, sem)) {
       EXPECT_TRUE(once.Contains(p));
     }
   }
@@ -154,7 +154,7 @@ TEST_P(AlgebraLawsTest, ProjectionMonotonicity) {
     auto cur = Project(ss, {std::nullopt, std::nullopt, k});
     ASSERT_TRUE(cur.ok());
     // π(*,*,k) ⊆ π(*,*,k+1): monotone in k.
-    for (const Path& p : prev) EXPECT_TRUE(cur->Contains(p));
+    for (PathRef p : prev) EXPECT_TRUE(cur->Contains(p));
     prev = *cur;
   }
   auto all = Project(ss, {std::nullopt, std::nullopt, std::nullopt});
@@ -195,7 +195,7 @@ TEST_P(AlgebraLawsTest, WalkAnswerMonotoneInLengthBudget) {
                                {.max_path_length = 2, .truncate = true});
   PathSet larger = *Recursive(Union(a_, b_), PathSemantics::kWalk,
                               {.max_path_length = 4, .truncate = true});
-  for (const Path& p : smaller) {
+  for (PathRef p : smaller) {
     EXPECT_TRUE(larger.Contains(p));
   }
 }

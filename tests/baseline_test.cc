@@ -138,7 +138,7 @@ TEST_F(AutomatonEvalTest, TrailMatchesHandDerivedAnswer) {
   auto r = EvaluateRpqAutomaton(g_, MustParse(":Knows+"), opts);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 12u);  // the complete Knows+ trail set
-  for (const Path& p : *r) EXPECT_TRUE(p.IsTrail());
+  for (PathRef p : *r) EXPECT_TRUE(p.IsTrail());
 }
 
 TEST_F(AutomatonEvalTest, AcyclicSimpleShortestCounts) {

@@ -26,7 +26,7 @@ class CoreOpsTest : public ::testing::Test {
 TEST_F(CoreOpsTest, SelectFiltersByCondition) {
   PathSet knows = KnowsEdges();
   EXPECT_EQ(knows.size(), 4u);
-  for (const Path& p : knows) {
+  for (PathRef p : knows) {
     EXPECT_EQ(LabelOfEdgeAt(g_, p, 1), "Knows");
   }
 }

@@ -317,8 +317,8 @@ TEST(CsrDifferentialFuzz, DenseJoinIndexMatchesBruteForce) {
       if (rng() % 3 == 0) s2.Insert(Path::SingleNode(n));
     }
     PathSet brute;
-    for (const Path& p1 : s1) {
-      for (const Path& p2 : s2) {
+    for (PathRef p1 : s1) {
+      for (PathRef p2 : s2) {
         if (p1.Last() == p2.First()) {
           brute.Insert(Path::ConcatUnchecked(p1, p2));
         }
@@ -335,8 +335,8 @@ TEST(PathFirstIndexTest, BucketsMatchInputOrder) {
   EXPECT_EQ(idx.size(), s.size());
   size_t total = 0;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    for (const Path* p : idx.ForFirst(n)) {
-      EXPECT_EQ(p->First(), n);
+    for (PathRef p : idx.ForFirst(n)) {
+      EXPECT_EQ(p.First(), n);
       ++total;
     }
   }

@@ -227,14 +227,14 @@ TEST(DifferentialTest2, SocialGraphAnyShortest) {
 
   // Build per-pair minimal lengths from the automaton side.
   std::map<std::pair<NodeId, NodeId>, size_t> best;
-  for (const Path& p : *automaton) {
+  for (PathRef p : *automaton) {
     auto key = std::make_pair(p.First(), p.Last());
     auto it = best.find(key);
     if (it == best.end() || p.Len() < it->second) best[key] = p.Len();
   }
   // The algebra returns exactly one path per pair, of minimal length.
   std::set<std::pair<NodeId, NodeId>> seen;
-  for (const Path& p : *algebra) {
+  for (PathRef p : *algebra) {
     auto key = std::make_pair(p.First(), p.Last());
     ASSERT_TRUE(best.count(key)) << p.ToString(g);
     EXPECT_EQ(p.Len(), best[key]) << p.ToString(g);

@@ -277,7 +277,7 @@ void ExpectBudgetParity(const PropertyGraph& g, PathSemantics semantics,
     if (!run.r.ok()) continue;  // already reported above
     EXPECT_EQ(run.r->size(), expect_size)
         << ctx << ": " << run.name << " returned wrong answer size";
-    for (const Path& p : *run.r) {
+    for (PathRef p : *run.r) {
       EXPECT_TRUE(full.Contains(p))
           << ctx << ": " << run.name << " emitted " << p.ToString()
           << " which is not in the full answer";

@@ -347,7 +347,7 @@ TEST_F(QueryFacadeTest, ExtendedQuerySampleTrailPerTarget) {
   // Kleene star: every node is a target of its own zero-length path, which
   // is the shortest in each target-partition — 7 paths.
   EXPECT_EQ(r->size(), 7u);
-  for (const Path& p : *r) EXPECT_EQ(p.Len(), 0u);
+  for (PathRef p : *r) EXPECT_EQ(p.Len(), 0u);
 }
 
 TEST_F(QueryFacadeTest, WhereConditionFilters) {
@@ -374,9 +374,9 @@ TEST_F(QueryFacadeTest, WholePathRestrictorOption) {
       g_, "MATCH ALL TRAIL p = (x)-[:Knows+/:Knows+]->(y)", opts);
   ASSERT_TRUE(strict.ok());
   EXPECT_LT(strict->size(), lax->size());
-  for (const Path& p : *strict) EXPECT_TRUE(p.IsTrail());
+  for (PathRef p : *strict) EXPECT_TRUE(p.IsTrail());
   bool lax_has_non_trail = false;
-  for (const Path& p : *lax) lax_has_non_trail |= !p.IsTrail();
+  for (PathRef p : *lax) lax_has_non_trail |= !p.IsTrail();
   EXPECT_TRUE(lax_has_non_trail);
 }
 

@@ -260,7 +260,7 @@ TEST_F(OptimizerTest, AnyShortestRewriteTerminatesDivergingPlan) {
   auto r = Evaluate(g_, opt.plan, tight);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 9u);  // one shortest walk per reachable pair
-  for (const Path& p : *r) {
+  for (PathRef p : *r) {
     EXPECT_TRUE(p.IsTrail());  // shortest walks never repeat edges
   }
 }

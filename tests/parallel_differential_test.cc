@@ -241,7 +241,7 @@ TEST_F(ParallelEvalLimitsTest, MaxPathLengthIsThreadCountInvariant) {
         } else {
           EXPECT_EQ(serial->paths(), parallel->paths())
               << PathSemanticsToString(sem) << " threads " << t;
-          for (const Path& p : *parallel) EXPECT_LE(p.Len(), 3u);
+          for (PathRef p : *parallel) EXPECT_LE(p.Len(), 3u);
         }
       }
     }

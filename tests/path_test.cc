@@ -332,8 +332,8 @@ TEST_F(PathTest, NodesOfAndEdgesOfAreTheAtoms) {
   PathSet edges = EdgesOf(g_);
   EXPECT_EQ(nodes.size(), 7u);
   EXPECT_EQ(edges.size(), 11u);
-  for (const Path& p : nodes) EXPECT_EQ(p.Len(), 0u);
-  for (const Path& p : edges) EXPECT_EQ(p.Len(), 1u);
+  for (PathRef p : nodes) EXPECT_EQ(p.Len(), 0u);
+  for (PathRef p : edges) EXPECT_EQ(p.Len(), 1u);
 }
 
 TEST_F(PathTest, GraphAwareAccessors) {

@@ -149,7 +149,7 @@ TEST_F(RecursiveTest, WalkTruncateReturnsBoundedAnswer) {
                      {.max_path_length = 2, .truncate = true});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 9u);  // 4 edges + 5 two-hop walks
-  for (const Path& p : *r) EXPECT_LE(p.Len(), 2u);
+  for (PathRef p : *r) EXPECT_LE(p.Len(), 2u);
 }
 
 TEST_F(RecursiveTest, WalkTerminatesNaturallyOnAcyclicInput) {
@@ -239,7 +239,7 @@ TEST_F(RecursiveTest, CompositeBaseUnits) {
   auto r = Recursive(unit, PathSemantics::kSimple);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->empty());
-  for (const Path& p : *r) {
+  for (PathRef p : *r) {
     EXPECT_EQ(p.Len() % 2, 0u);
     EXPECT_TRUE(p.IsSimple());
   }
@@ -310,12 +310,12 @@ TEST(RecursivePropertyTest, ContainmentLattice) {
     ASSERT_TRUE(acyclic.ok() && simple.ok() && trail.ok() && shortest.ok());
     // acyclic ⊆ simple ⊆ trail (repeating a node forces repeating an edge
     // only in the simple→trail direction: a simple path repeats no edge).
-    for (const Path& p : *acyclic) EXPECT_TRUE(simple->Contains(p));
-    for (const Path& p : *simple) EXPECT_TRUE(p.IsTrail());
-    for (const Path& p : *simple) EXPECT_TRUE(trail->Contains(p));
+    for (PathRef p : *acyclic) EXPECT_TRUE(simple->Contains(p));
+    for (PathRef p : *simple) EXPECT_TRUE(p.IsTrail());
+    for (PathRef p : *simple) EXPECT_TRUE(trail->Contains(p));
     // Every shortest path is a shortest among walks: minimal per pair.
-    for (const Path& a : *shortest) {
-      for (const Path& b : *shortest) {
+    for (PathRef a : *shortest) {
+      for (PathRef b : *shortest) {
         if (a.First() == b.First() && a.Last() == b.Last()) {
           EXPECT_EQ(a.Len(), b.Len());
         }
@@ -347,7 +347,7 @@ TEST(RecursivePropertyTest, DiamondChainShortestCountDoubles) {
     NodeId first = g.FindNodeByProperty("id", Value(int64_t(0)));
     NodeId last = g.FindNodeByProperty("id", Value(int64_t(k)));
     size_t count = 0;
-    for (const Path& p : *r) {
+    for (PathRef p : *r) {
       if (p.First() == first && p.Last() == last) {
         ++count;
         EXPECT_EQ(p.Len(), 2 * k);
@@ -362,7 +362,7 @@ TEST(RecursivePropertyTest, TrailBoundedByEdgeCount) {
     PropertyGraph g = MakeRandomGraph(5, 9, {"a"}, seed);
     auto r = Recursive(EdgesOf(g), PathSemantics::kTrail);
     ASSERT_TRUE(r.ok());
-    for (const Path& p : *r) {
+    for (PathRef p : *r) {
       EXPECT_LE(p.Len(), g.num_edges());
       EXPECT_TRUE(p.IsTrail());
     }
@@ -374,7 +374,7 @@ TEST(RecursivePropertyTest, AcyclicBoundedByNodeCount) {
     PropertyGraph g = MakeRandomGraph(6, 12, {"a"}, seed);
     auto r = Recursive(EdgesOf(g), PathSemantics::kAcyclic);
     ASSERT_TRUE(r.ok());
-    for (const Path& p : *r) {
+    for (PathRef p : *r) {
       EXPECT_LT(p.Len(), g.num_nodes());
       EXPECT_TRUE(p.IsAcyclic());
     }

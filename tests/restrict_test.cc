@@ -38,7 +38,7 @@ TEST_F(RestrictTest, RestrictPathsFiltersBySemantics) {
   EXPECT_EQ(walks.size(), 18u);
   EXPECT_EQ(RestrictPaths(walks, PathSemantics::kWalk), walks);
   PathSet trails = RestrictPaths(walks, PathSemantics::kTrail);
-  for (const Path& p : trails) EXPECT_TRUE(p.IsTrail());
+  for (PathRef p : trails) EXPECT_TRUE(p.IsTrail());
   EXPECT_EQ(trails.size(), 12u);  // all 12 trails have length ≤ 4
   PathSet acyclic = RestrictPaths(walks, PathSemantics::kAcyclic);
   EXPECT_EQ(acyclic.size(), 7u);

@@ -113,7 +113,7 @@ TEST(RobustnessTest, BudgetsHoldOnAdversarialGraphs) {
     limits.truncate = true;
     auto r = Recursive(edges, PathSemantics::kTrail, limits);
     ASSERT_TRUE(r.ok());
-    for (const Path& p : *r) EXPECT_LE(p.Len(), 2u);
+    for (PathRef p : *r) EXPECT_LE(p.Len(), 2u);
   }
 }
 

@@ -117,9 +117,9 @@ Result<PathSet> RunEngine(Engine engine, const PropertyGraph& g,
 std::vector<Path> KeepSeedFirst(const PathSet& s,
                                 const std::vector<NodeId>& seeds) {
   std::vector<Path> out;
-  for (const Path& p : s) {
+  for (PathRef p : s) {
     if (std::binary_search(seeds.begin(), seeds.end(), p.First())) {
-      out.push_back(p);
+      out.emplace_back(p);
     }
   }
   return out;

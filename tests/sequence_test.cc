@@ -107,7 +107,7 @@ TEST_F(SequenceTest, OuterRestrictorFiltersNonTrails) {
   ASSERT_TRUE(plan.ok());
   auto result = Evaluate(g_, *plan);
   ASSERT_TRUE(result.ok());
-  for (const Path& p : *result) {
+  for (PathRef p : *result) {
     EXPECT_TRUE(p.IsTrail()) << p.ToString(g_);
     EXPECT_EQ(g_.NodeName(p.Last()), "n2");
   }

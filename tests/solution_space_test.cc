@@ -159,7 +159,7 @@ TEST_F(SolutionSpaceTest, Table5SolutionSpace) {
       ASSERT_EQ(groups.size(), 1u);
       const auto& paths = ss.PathsOfGroup(groups[0]);
       ASSERT_FALSE(paths.empty());
-      const Path& first = ss.path(paths[0]);
+      PathRef first = ss.path(paths[0]);
       if (first.First() != row.s || first.Last() != row.t) continue;
       found = true;
       std::set<size_t> lens;
@@ -278,7 +278,7 @@ TEST_F(SolutionSpaceTest, ProjectLimitsPartitionsAndGroups) {
   SolutionSpace ss = OrderBy(GroupBy(trails_, GroupKey::kL), OrderKey::kG);
   auto r = Project(ss, {std::nullopt, 2, std::nullopt});
   ASSERT_TRUE(r.ok());
-  for (const Path& p : *r) EXPECT_LE(p.Len(), 2u);
+  for (PathRef p : *r) EXPECT_LE(p.Len(), 2u);
   EXPECT_EQ(r->size(), 7u);  // length 1: p1,p9,p11; length 2: p3,p5,p7,p13
 }
 
@@ -405,15 +405,15 @@ RefSpace RefGroupBy(const PathSet& s, GroupKey key) {
   std::map<PartKey, uint32_t> partitions;
   std::map<GrpKey, uint32_t> groups;
 
-  auto part_key = [&](const Path& p) -> PartKey {
+  auto part_key = [&](PathRef p) -> PartKey {
     return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId};
   };
-  auto grp_key = [&](const Path& p) -> GrpKey {
+  auto grp_key = [&](PathRef p) -> GrpKey {
     return {use_s ? p.First() : kInvalidId, use_t ? p.Last() : kInvalidId,
             use_l ? p.Len() : 0};
   };
 
-  for (const Path& p : s) {
+  for (PathRef p : s) {
     partitions[part_key(p)] = 0;
     groups[grp_key(p)] = 0;
   }
@@ -431,10 +431,10 @@ RefSpace RefGroupBy(const PathSet& s, GroupKey key) {
     ss.partition_groups[pi].push_back(gi);
   }
 
-  for (const Path& p : s) {
+  for (PathRef p : s) {
     uint32_t gi = groups[grp_key(p)];
     uint32_t path_ix = static_cast<uint32_t>(ss.paths.size());
-    ss.paths.push_back(p);
+    ss.paths.emplace_back(p);
     ss.path_group.push_back(gi);
     ss.group_paths[gi].push_back(path_ix);
   }

@@ -59,7 +59,7 @@ TEST_F(TransformTest, InverseRpqViaReverseGraph) {
   // Forward acyclic Knows+ paths INTO n4: (n2,e4,n4), (n1,e1,n2,e4,n4),
   // (n3,e3,n2,e4,n4) — reversed, they start at n4.
   EXPECT_EQ(r->size(), 3u);
-  for (const Path& p : *r) {
+  for (PathRef p : *r) {
     EXPECT_EQ(p.First(), ids_.n4);
   }
 }
