@@ -7,104 +7,69 @@
 
 namespace pathalg {
 
-PathSet Select(const PropertyGraph& g, const PathSet& s,
-               const Condition& condition, const ParallelOptions& parallel,
-               ParallelStats* parallel_stats) {
-  if (!parallel.ShouldParallelize(s.size())) {
-    if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
-      ++parallel_stats->serial_fallbacks;
-    }
-    PathSet out;
-    for (size_t i = 0; i < s.size(); ++i) {
-      if (condition.Evaluate(g, s[i])) {
-        out.InsertHashed(s[i], s.hash_of(i));
-      }
-    }
-    return out;
-  }
-  // Filter per contiguous chunk into chunk-private vectors, then
-  // concatenate in chunk order: the kept paths appear in exactly the
-  // input order, as in the serial loop (and the input is already
-  // duplicate-free, so insertion order is the whole story). Chunk bodies
-  // carry each kept path's hash so the serial merge never rehashes —
-  // that recomputation was the merge phase's Amdahl ceiling.
-  const ChunkLayout layout = ThreadPool::PlanFor(s.size(), parallel);
-  std::vector<std::vector<std::pair<Path, size_t>>> kept(layout.num_chunks);
-  ThreadPool::Shared().ParallelFor(
-      s.size(), parallel, parallel_stats,
-      [&](size_t chunk, size_t begin, size_t end) {
-        std::vector<std::pair<Path, size_t>>& mine = kept[chunk];
-        for (size_t i = begin; i < end; ++i) {
-          if (condition.Evaluate(g, s[i])) {
-            mine.emplace_back(Path(s[i]), s.hash_of(i));
-          }
-        }
-      });
-  PathSet out;
-  for (std::vector<std::pair<Path, size_t>>& chunk : kept) {
-    for (auto& [p, h] : chunk) out.InsertHashed(std::move(p), h);
-  }
-  return out;
-}
-
 namespace {
 
-/// The probe loop shared by both joins: `extend(p1, emit)` calls
-/// `emit(p1 ◦ p2)` for every right-side match of p1, in right-side order.
-template <typename Extend>
-PathSet ProbeJoin(const PathSet& s1, const ParallelOptions& parallel,
-                  ParallelStats* parallel_stats, const Extend& extend) {
-  if (!parallel.ShouldParallelize(s1.size())) {
-    if (parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
-      ++parallel_stats->serial_fallbacks;
-    }
-    PathSet out;
-    for (PathRef p1 : s1) {
-      extend(p1, [&](Path q) { out.Insert(std::move(q)); });
-    }
-    return out;
+/// Runs `fill(i, list)` for every i ∈ [0, n) in contiguous chunks, each
+/// appending to its chunk-private PathList, then inserts the chunk lists in
+/// chunk index order — the exact enumeration order of a serial loop, and
+/// the merge's InsertHashed dedups exactly where the serial loop would (a ◦
+/// can collide when zero-length paths join). Chunk bodies carry each path's
+/// hash, so the merge never rehashes; that recomputation was the merge
+/// phase's Amdahl ceiling. A serial run is one chunk.
+template <typename Fill>
+PathSet ChunkedFill(size_t n, const ParallelOptions& parallel,
+                    ParallelStats* parallel_stats, const Fill& fill) {
+  // ParallelFor books its inline runs as serial fallbacks but skips empty
+  // ranges; an empty input is a serial run of this operator all the same.
+  if (n == 0 && parallel_stats != nullptr && parallel.EffectiveThreads() > 1) {
+    ++parallel_stats->serial_fallbacks;
   }
-  // Chunk the probe side; each chunk emits its concatenations in (p1
-  // order, bucket order) — merging chunks in index order reproduces the
-  // serial enumeration, and the merge's InsertHashed dedups exactly where
-  // the serial loop would (a ◦ can collide when zero-length paths join).
-  // Hashing each concatenation happens in the chunk body, off the merge
-  // thread.
-  const ChunkLayout layout = ThreadPool::PlanFor(s1.size(), parallel);
-  std::vector<std::vector<std::pair<Path, size_t>>> produced(
-      layout.num_chunks);
+  const ChunkLayout layout = ThreadPool::PlanFor(n, parallel);
+  std::vector<PathList> produced(layout.num_chunks);
   ThreadPool::Shared().ParallelFor(
-      s1.size(), parallel, parallel_stats,
+      n, parallel, parallel_stats,
       [&](size_t chunk, size_t begin, size_t end) {
-        std::vector<std::pair<Path, size_t>>& mine = produced[chunk];
-        for (size_t i = begin; i < end; ++i) {
-          extend(s1[i], [&](Path q) {
-            const size_t h = q.Hash();
-            mine.emplace_back(std::move(q), h);
-          });
-        }
+        for (size_t i = begin; i < end; ++i) fill(i, &produced[chunk]);
       });
   PathSet out;
-  for (std::vector<std::pair<Path, size_t>>& chunk : produced) {
-    for (auto& [p, h] : chunk) out.InsertHashed(std::move(p), h);
+  for (const PathList& chunk : produced) {
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      out.InsertHashed(chunk[i], chunk.hash_of(i));
+    }
   }
   return out;
 }
 
 }  // namespace
 
+PathSet Select(const PropertyGraph& g, const PathSet& s,
+               const Condition& condition, const ParallelOptions& parallel,
+               ParallelStats* parallel_stats) {
+  // The input is duplicate-free, so the kept paths appear in exactly the
+  // input order.
+  return ChunkedFill(s.size(), parallel, parallel_stats,
+                     [&](size_t i, PathList* out) {
+                       if (condition.Evaluate(g, s[i])) {
+                         out->Append(s[i], s.hash_of(i));
+                       }
+                     });
+}
+
 PathSet Join(const PathSet& s1, const PathSet& s2,
              const ParallelOptions& parallel,
              ParallelStats* parallel_stats) {
   // CSR-style dense index of the right side by First(p2): node ids are
-  // dense, so the per-p1 probe is an array index, not a hash lookup.
-  PathFirstIndex by_first(s2);
-  return ProbeJoin(s1, parallel, parallel_stats,
-                   [&](PathRef p1, const auto& emit) {
-                     for (PathRef p2 : by_first.ForFirst(p1.Last())) {
-                       emit(Path::ConcatUnchecked(p1, p2));
-                     }
-                   });
+  // dense, so the per-p1 probe is an array index, not a hash lookup. Each
+  // chunk emits its concatenations in (p1 order, bucket order).
+  const PathFirstIndex by_first(s2.paths());
+  return ChunkedFill(
+      s1.size(), parallel, parallel_stats, [&](size_t i, PathList* out) {
+        const PathRef p1 = s1[i];
+        for (uint32_t j : by_first.ForFirst(p1.Last())) {
+          out->AppendConcat(p1, s2[j],
+                            HashOfConcat(s1.hash_of(i), s2[j], s2.hash_of(j)));
+        }
+      });
 }
 
 PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
@@ -113,12 +78,16 @@ PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
   // The label CSR run of Last(p1) is the bucket PathFirstIndex would hold
   // for Last(p1) over EdgesWithLabelOf(g, label): both list the node's
   // L-edges in edge-id order.
-  return ProbeJoin(s1, parallel, parallel_stats,
-                   [&](PathRef p1, const auto& emit) {
-                     for (EdgeId e : g.OutEdgesWithLabel(p1.Last(), label)) {
-                       emit(Path::ConcatUnchecked(p1, Path::EdgeOf(g, e)));
-                     }
-                   });
+  return ChunkedFill(
+      s1.size(), parallel, parallel_stats, [&](size_t i, PathList* out) {
+        const PathRef p1 = s1[i];
+        for (EdgeId e : g.OutEdgesWithLabel(p1.Last(), label)) {
+          const EdgePathIds edge(g, e);
+          out->AppendConcat(
+              p1, edge,
+              HashOfConcat(s1.hash_of(i), edge, PathRef(edge).Hash()));
+        }
+      });
 }
 
 // ∪/∩/∖ move whole sets around without changing any path, so every hash
@@ -126,10 +95,7 @@ PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
 
 PathSet Union(PathSet s1, PathSet s2) {
   s1.Reserve(s1.size() + s2.size());
-  PathSet::Contents right = std::move(s2).Release();
-  for (size_t i = 0; i < right.paths.size(); ++i) {
-    s1.InsertHashed(std::move(right.paths[i]), right.hashes[i]);
-  }
+  for (size_t i = 0; i < s2.size(); ++i) s1.InsertHashed(s2[i], s2.hash_of(i));
   return s1;
 }
 

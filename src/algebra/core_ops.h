@@ -47,7 +47,8 @@ PathSet JoinOutEdges(const PropertyGraph& g, const PathSet& s1,
 
 /// S ∪ S' with set semantics (duplicates eliminated): the paths of s1,
 /// then those of s2 not in s1, each in its set's order. Consumes both
-/// inputs — s1 becomes the result and s2's unseen paths are moved in.
+/// inputs — s1 becomes the result, and s2's unseen paths are appended to
+/// its arena.
 PathSet Union(PathSet s1, PathSet s2);
 
 /// S ∩ S' — extension beyond the paper's core (§1 mentions the standards

@@ -33,11 +33,12 @@ bool FrontierEligible(const RegexPtr& inner) {
 
 namespace {
 
-/// One chunk's output: hashed candidates (the merge is then a probe + push
-/// each, PathSet::InsertHashed), the eval_budget.h `dropped` flag, and
-/// product counters, which only the NFA-fused sources advance.
+/// One chunk's output: its candidates with their hashes, written flat
+/// (the merge is then a probe + id copy each, PathSet::InsertHashed), the
+/// eval_budget.h `dropped` flag, and product counters, which only the
+/// NFA-fused sources advance.
 struct ChunkOutput {
-  std::vector<std::pair<Path, size_t>> candidates;
+  PathList candidates;
   bool dropped = false;
   FrontierClosureStats counts;
 };
@@ -55,10 +56,10 @@ bool Admissible(PathRef q, PathSemantics semantics,
 /// Segment source over the graph: a segment is one full product walk
 /// through NFA(inner) from a prefix path's last node to any accepting
 /// state, enforcing the restrictor semantics incrementally over the
-/// *whole* path (prefix included) and reconstructing a Path object only
+/// *whole* path (prefix included) and writing a candidate path out only
 /// when a walk survives to an accepting state. A walk that repeats an
 /// edge under TRAIL or a node under ACYCLIC dies at that product step;
-/// the doomed candidate is never materialized. NFA(inner) is
+/// the doomed candidate is never written out. NFA(inner) is
 /// closure-free, hence a DAG, so every segment walk terminates without a
 /// depth guard.
 class SegmentWalker {
@@ -71,14 +72,18 @@ class SegmentWalker {
   /// Round 0 starts at the spec's start nodes (every node, or the
   /// seeds): every one-segment path from the i-th of them.
   void Seed(size_t i, ChunkOutput* out) {
-    Extend(Path::SingleNode(spec_.Start(i)), out);
+    const NodeId start = spec_.Start(i);
+    const PathRef p(&start, 1);
+    Extend(p, p.Hash(), out);
   }
 
-  /// Appends every surviving one-segment extension of `prefix` to `out`.
-  void Extend(PathRef prefix, ChunkOutput* out) {
+  /// Appends every surviving one-segment extension of `prefix`, whose
+  /// hash is `prefix_hash`, to `out`.
+  void Extend(PathRef prefix, size_t prefix_hash, ChunkOutput* out) {
     out_ = out;
     nodes_.assign(prefix.nodes().begin(), prefix.nodes().end());
     edges_.assign(prefix.edges().begin(), prefix.edges().end());
+    hash_ = prefix_hash;
     Walk(prefix.Last(), nfa_.start());
   }
 
@@ -136,6 +141,8 @@ class SegmentWalker {
 
     nodes_.push_back(next);
     edges_.push_back(e);
+    const size_t prefix_hash = hash_;
+    hash_ = PathHashStep(PathHashStep(hash_, e), next);
 
     for (uint32_t next_state : next_states) {
       ++out_->counts.states_expanded;
@@ -154,14 +161,13 @@ class SegmentWalker {
 
     nodes_.pop_back();
     edges_.pop_back();
+    hash_ = prefix_hash;
   }
 
-  /// Materializes the current walk as a candidate. The only place a Path
-  /// object is constructed: walks pruned mid-segment never allocate.
+  /// Writes the current walk out as a candidate. The only place a walk's
+  /// ids are copied: walks pruned mid-segment write nothing.
   void EmitSurvivor() {
-    Path p(nodes_, edges_);
-    const size_t h = p.Hash();
-    out_->candidates.emplace_back(std::move(p), h);
+    out_->candidates.Append(nodes_, edges_, hash_);
     ++out_->counts.paths_reconstructed;
   }
 
@@ -174,6 +180,8 @@ class SegmentWalker {
   ChunkOutput* out_ = nullptr;
   std::vector<NodeId> nodes_;
   std::vector<EdgeId> edges_;
+  /// Hash of the walk in nodes_/edges_, extended one step at a time.
+  size_t hash_ = 0;
   uint32_t cancel_countdown_ = kCancelCheckStride;
   bool stopped_ = false;
 };
@@ -188,19 +196,24 @@ class BaseSource {
              const PhiSpec& spec, const EvalLimits& limits)
       : base_(base), index_(phi0), spec_(spec), limits_(limits) {}
 
-  void Seed(size_t i, ChunkOutput* out) const {
+  void Seed(size_t i, ChunkOutput* out) {
     if (!base_[i].empty() && spec_.Admits(base_[i].First()) &&
         Admissible(base_[i], spec_.semantics, limits_, &out->dropped)) {
-      out->candidates.emplace_back(Path(base_[i]), base_.hash_of(i));
+      out->candidates.Append(base_[i], base_.hash_of(i));
     }
   }
 
-  void Extend(PathRef prefix, ChunkOutput* out) const {
-    for (PathRef segment : index_.ForFirst(prefix.Last())) {
-      Path q = Path::ConcatUnchecked(prefix, segment);
+  /// Each concatenation is checked in a scratch buffer first, so a
+  /// rejected candidate never reaches the chunk's output.
+  void Extend(PathRef prefix, size_t prefix_hash, ChunkOutput* out) {
+    for (uint32_t j : index_.ForFirst(prefix.Last())) {
+      const PathRef segment = base_[j];
+      scratch_.clear();
+      AppendConcatIds(prefix, segment, &scratch_);
+      const PathRef q(scratch_.data(), scratch_.size());
       if (!Admissible(q, spec_.semantics, limits_, &out->dropped)) continue;
-      const size_t h = q.Hash();
-      out->candidates.emplace_back(std::move(q), h);
+      out->candidates.Append(
+          q, HashOfConcat(prefix_hash, segment, base_.hash_of(j)));
     }
   }
 
@@ -209,16 +222,17 @@ class BaseSource {
   const PathFirstIndex& index_;
   const PhiSpec& spec_;
   const EvalLimits& limits_;
+  std::vector<uint32_t> scratch_;
 };
 
 /// The one semi-naive round driver for non-shortest ϕ. `make_source()`
 /// builds a chunk-private segment source (SegmentWalker or BaseSource):
 /// round 0 calls Seed(i) for i ∈ [0, num_seeds), round r calls Extend on
-/// every path round r−1 discovered, both writing into the chunk's
-/// ChunkOutput. Dedup, budgets and the next frontier live on the calling
-/// thread, which merges chunk buffers in chunk index order — results,
-/// partial answers and Status are byte-identical at any thread count,
-/// with every trip point of algebra/eval_budget.h.
+/// every path round r−1 discovered (and its stored hash), both writing
+/// into the chunk's ChunkOutput. Dedup, budgets and the next frontier
+/// live on the calling thread, which merges chunk buffers in chunk index
+/// order — results, partial answers and Status are byte-identical at any
+/// thread count, with every trip point of algebra/eval_budget.h.
 template <typename MakeSource>
 Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                             PathSemantics semantics, const EvalLimits& limits,
@@ -227,9 +241,11 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                             FrontierClosureStats* stats) {
   PathSet acc;
   // The frontier holds indices into acc's append-only storage instead of
-  // Path copies: merge inserts each accepted path once and records where
-  // it landed. acc is only mutated on this thread between expansions, so
-  // workers reading acc.paths()[i] never race a rehash or reallocation.
+  // path copies: merge inserts each accepted path once and records where
+  // it landed. Workers read their prefixes from acc's arena (PathRef)
+  // only during ParallelFor, and acc grows only on this thread after it
+  // returns — so an arena that reallocates between segments never moves
+  // ids under a reader, and no reader sees a rehash.
   std::vector<size_t> frontier;
   bool dropped = false;
 
@@ -276,7 +292,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
                   prefix.First() == prefix.Last()) {
                 continue;
               }
-              source.Extend(prefix, out);
+              source.Extend(prefix, acc.hash_of((*prefixes)[i]), out);
             }
           });
       // Walkers that saw the token trip stopped mid-walk, so their chunk
@@ -294,7 +310,10 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
           stats->states_expanded += out.counts.states_expanded;
           stats->paths_reconstructed += out.counts.paths_reconstructed;
         }
-        for (auto& [q, h] : out.candidates) {
+        const PathList& candidates = out.candidates;
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          const PathRef q = candidates[c];
+          const size_t h = candidates.hash_of(c);
           if (acc.size() >= limits.max_paths) {
             // A full accumulator trips on the first NEW candidate;
             // duplicates never trip (eval_budget.h).
@@ -302,9 +321,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
             if (limits.truncate) return false;
             return BudgetExhausted("max_paths", semantics);
           }
-          if (acc.InsertHashed(std::move(q), h)) {
-            next->push_back(acc.size() - 1);
-          }
+          if (acc.InsertHashed(q, h)) next->push_back(acc.size() - 1);
         }
       }
     }
@@ -333,7 +350,7 @@ Result<PathSet> FrontierDfs(size_t num_seeds, const MakeSource& make_source,
 
 /// Shortest engine: per-source product BFS over an automaton of inner+
 /// computing distances on (node, state) pairs, then backward enumeration
-/// of every distance-decreasing product path — Path objects exist only
+/// of every distance-decreasing product path — ids are written out only
 /// for the per-pair-minimal survivors. Over a deterministic automaton
 /// the reconstruction is exact: a graph path has one run, hence one
 /// product path, so an ambiguous regex (`:a|:a/:a`) never rebuilds a
@@ -387,7 +404,7 @@ class ShortestSource {
       if (best == 0) {
         // Reachable only if ε ∈ L(inner+); eligibility excludes that,
         // but stay correct under future relaxations.
-        EmitSurvivor(Path::SingleNode(t));
+        EmitSurvivor(PathRef(&t, 1));
         continue;
       }
       for (uint32_t s = 0; s < num_states_; ++s) {
@@ -422,11 +439,10 @@ class ShortestSource {
     if (Poll()) return;
     if (d == 0) {
       if (node == source_ && state == nfa_.start()) {
-        std::vector<NodeId> nodes(nodes_suffix_.rbegin(),
-                                  nodes_suffix_.rend());
-        std::vector<EdgeId> edges(edges_suffix_.rbegin(),
-                                  edges_suffix_.rend());
-        EmitSurvivor(Path(std::move(nodes), std::move(edges)));
+        path_.assign(nodes_suffix_.rbegin(), nodes_suffix_.rend());
+        path_.insert(path_.end(), edges_suffix_.rbegin(),
+                     edges_suffix_.rend());
+        EmitSurvivor(PathRef(path_.data(), path_.size()));
       }
       return;
     }
@@ -446,9 +462,8 @@ class ShortestSource {
     }
   }
 
-  void EmitSurvivor(Path p) {
-    const size_t h = p.Hash();
-    out_->candidates.emplace_back(std::move(p), h);
+  void EmitSurvivor(PathRef p) {
+    out_->candidates.Append(p, p.Hash());
     ++out_->counts.paths_reconstructed;
   }
 
@@ -461,9 +476,11 @@ class ShortestSource {
 
   ChunkOutput* out_ = nullptr;
   NodeId source_ = 0;
-  // Backtrack working state (stored target-to-source, reversed on emit).
+  // Backtrack working state (stored target-to-source, reversed on emit
+  // into path_, the survivor's run).
   std::vector<NodeId> nodes_suffix_;
   std::vector<EdgeId> edges_suffix_;
+  std::vector<uint32_t> path_;
   uint32_t cancel_countdown_ = kCancelCheckStride;
   bool stopped_ = false;
 };
@@ -502,13 +519,19 @@ Result<PathSet> FrontierShortest(const PropertyGraph& g, const RegexPtr& inner,
       stats->states_expanded += chunk.counts.states_expanded;
       stats->paths_reconstructed += chunk.counts.paths_reconstructed;
     }
-    for (auto& [q, h] : chunk.candidates) {
-      if (out.ContainsHashed(q, h)) continue;  // duplicates never trip
-      if (out.size() >= limits.max_paths) {
-        if (limits.truncate) return out;
-        return BudgetExhausted("max_paths", PathSemantics::kShortest);
+    const PathList& candidates = chunk.candidates;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const PathRef q = candidates[c];
+      const size_t h = candidates.hash_of(c);
+      // One probe per candidate while there is room; a full accumulator
+      // trips on the first NEW candidate, duplicates never trip.
+      if (out.size() < limits.max_paths) {
+        out.InsertHashed(q, h);
+        continue;
       }
-      out.InsertHashed(std::move(q), h);
+      if (out.ContainsHashed(q, h)) continue;
+      if (limits.truncate) return out;
+      return BudgetExhausted("max_paths", PathSemantics::kShortest);
     }
   }
   return out;
@@ -549,7 +572,7 @@ Result<PathSet> FrontierClosureOverBase(const PathSet& base, PhiSpec spec,
   // Segments are ϕ0 only: an empty base path re-derives the prefix, and
   // one round 0 rejects fails every concatenation containing it too.
   bool unused_dropped = false;  // round 0's own Seed calls report drops
-  const PathFirstIndex index(base, [&](PathRef p) {
+  const PathFirstIndex index(base.paths(), [&](PathRef p) {
     return Admissible(p, semantics, limits, &unused_dropped);
   });
   return FrontierDfs(

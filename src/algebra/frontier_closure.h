@@ -11,8 +11,9 @@
 /// (node, NFA-state) pairs drive expansion and pruning, the restrictor
 /// semantics are enforced *during* expansion (a walk that repeats an
 /// edge under TRAIL dies at that edge, not after a full candidate path
-/// was built and filtered), and Path objects are reconstructed only for
-/// accepting survivors.
+/// was built and filtered), and paths are reconstructed — their ids
+/// written to a chunk's flat candidate buffer — only for accepting
+/// survivors.
 ///
 /// One semi-naive round driver serves every non-shortest ϕ, fed by one
 /// of two segment sources: the NFA walker above, or a materialized base
@@ -60,8 +61,8 @@ struct FrontierClosureStats {
   /// Product steps taken: one per (node, NFA-state) pair pushed during
   /// segment walks (non-shortest) or relaxed/backtracked (shortest).
   size_t states_expanded = 0;
-  /// Candidate Path objects reconstructed for accepting survivors
-  /// (before dedup against the accumulated result).
+  /// Candidate paths reconstructed for accepting survivors (before dedup
+  /// against the accumulated result).
   size_t paths_reconstructed = 0;
 };
 

@@ -91,10 +91,10 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
   }
 
   // ϕ0 is the *filtered* base — Definition 4.1 instantiated per semantics.
-  // Copy it out: `acc` grows during the fixpoint and would invalidate
-  // pointers into its storage.
-  std::vector<Path> base_paths(acc.begin(), acc.end());
-  PathFirstIndex index(base_paths);
+  // Copy it out: `acc` grows during the fixpoint, and its arena may move
+  // under any view into it.
+  const PathList base_paths = acc.paths();
+  const PathFirstIndex index(base_paths);
 
   // The budget trips iff the fixpoint is not *verified* within
   // max_iterations rounds — a nonempty ϕ0 needs round 1 to verify even an
@@ -123,8 +123,8 @@ Result<PathSet> RecursiveNaive(const PathSet& base, PathSemantics semantics,
         cancel_countdown = kCancelCheckStride;
         if (limits.cancel->Cancelled()) return EvalCancelled(*limits.cancel);
       }
-      for (PathRef p2 : index.ForFirst(p1.Last())) {
-        Path q = Path::ConcatUnchecked(p1, p2);
+      for (uint32_t j : index.ForFirst(p1.Last())) {
+        Path q = Path::ConcatUnchecked(p1, base_paths[j]);
         if (!SatisfiesSemantics(q, semantics)) continue;
         if (q.Len() > limits.max_path_length) {
           dropped = true;
@@ -193,7 +193,7 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
     return b < a;
   };
   std::priority_queue<Path, std::vector<Path>, decltype(cmp)> heap(cmp);
-  PathFirstIndex index(base);
+  const PathFirstIndex index(base.paths());
 
   for (PathRef p : base) {
     if (p.empty()) continue;
@@ -243,7 +243,8 @@ Result<PathSet> RecursiveShortestLayered(const PathSet& base,
           std::vector<Path>& mine = pushes[chunk];
           for (size_t i = begin; i < end; ++i) {
             const Path& p = layer[i];
-            for (PathRef b : index.ForFirst(p.Last())) {
+            for (uint32_t j : index.ForFirst(p.Last())) {
+              const PathRef b = base[j];
               if (b.Len() == 0) continue;  // identity ext., no progress
               Path q = Path::ConcatUnchecked(p, b);
               if (q.Len() > limits.max_path_length) continue;

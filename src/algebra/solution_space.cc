@@ -77,7 +77,7 @@ bool OrderKeyOrdersPaths(OrderKey k) {
 
 size_t SolutionSpace::MinLenOfGroup(size_t g) const {
   size_t min_len = std::numeric_limits<size_t>::max();
-  for (uint32_t i : group_paths_[g]) {
+  for (uint32_t i : PathsOfGroup(g)) {
     min_len = std::min(min_len, paths_[i].Len());
   }
   return min_len;
@@ -85,7 +85,7 @@ size_t SolutionSpace::MinLenOfGroup(size_t g) const {
 
 size_t SolutionSpace::MinLenOfPartition(size_t p) const {
   size_t min_len = std::numeric_limits<size_t>::max();
-  for (uint32_t g : partition_groups_[p]) {
+  for (uint32_t g : GroupsOfPartition(p)) {
     min_len = std::min(min_len, MinLenOfGroup(g));
   }
   return min_len;
@@ -96,10 +96,10 @@ std::string SolutionSpace::ToTableString(const PropertyGraph& graph) const {
   os << "Partition  Group     Path                                     "
         "MinL(P)  MinL(G)  Len(p)\n";
   for (size_t p = 0; p < num_partitions(); ++p) {
-    for (size_t g_ix = 0; g_ix < partition_groups_[p].size(); ++g_ix) {
-      uint32_t g = partition_groups_[p][g_ix];
-      for (size_t i_ix = 0; i_ix < group_paths_[g].size(); ++i_ix) {
-        uint32_t i = group_paths_[g][i_ix];
+    const IdSpan groups = GroupsOfPartition(p);
+    for (size_t g_ix = 0; g_ix < groups.size(); ++g_ix) {
+      const uint32_t g = groups[g_ix];
+      for (const uint32_t i : PathsOfGroup(g)) {
         std::string part = "part" + std::to_string(p + 1);
         std::string grp = "group" + std::to_string(p + 1) +
                           std::to_string(g_ix + 1);
@@ -121,9 +121,7 @@ SolutionSpace GroupBy(PathSet s, GroupKey key) {
   const bool use_s = GroupKeyUsesSource(key);
   const bool use_t = GroupKeyUsesTarget(key);
   const bool use_l = GroupKeyUsesLength(key);
-  PathSet::Contents in = std::move(s).Release();
-  ss.paths_ = std::move(in.paths);
-  ss.path_hashes_ = std::move(in.hashes);
+  ss.paths_ = std::move(s).Release();
   const size_t n = ss.paths_.size();
 
   // Group key (source?, target?, length?); its (source, target) prefix is
@@ -154,6 +152,9 @@ SolutionSpace GroupBy(PathSet s, GroupKey key) {
            std::tie(keys[b].source, keys[b].target, keys[b].length);
   });
 
+  // Groups are the runs of equal keys in `order`, partitions the runs of
+  // equal (source, target); groups land in each partition sorted by
+  // their length component.
   ss.path_group_.resize(n);
   for (size_t k = 0; k < n; ++k) {
     const Key& cur = keys[order[k]];
@@ -161,24 +162,30 @@ SolutionSpace GroupBy(PathSet s, GroupKey key) {
     const bool new_partition = prev == nullptr ||
                                prev->source != cur.source ||
                                prev->target != cur.target;
-    if (new_partition) ss.partition_groups_.emplace_back();
-    if (new_partition || prev->length != cur.length) {
-      // Groups land in each partition sorted by their length component.
-      ss.partition_groups_.back().push_back(
-          static_cast<uint32_t>(ss.group_paths_.size()));
-      ss.group_partition_.push_back(
-          static_cast<uint32_t>(ss.partition_groups_.size() - 1));
-      ss.group_paths_.emplace_back();
+    if (new_partition) {
+      ss.partition_begin_.push_back(
+          static_cast<uint32_t>(ss.group_partition_.size()));
     }
-    ss.group_paths_.back().push_back(order[k]);
+    if (new_partition || prev->length != cur.length) {
+      ss.group_begin_.push_back(static_cast<uint32_t>(k));
+      ss.group_partition_.push_back(
+          static_cast<uint32_t>(ss.partition_begin_.size() - 1));
+    }
     ss.path_group_[order[k]] =
-        static_cast<uint32_t>(ss.group_paths_.size() - 1);
+        static_cast<uint32_t>(ss.group_partition_.size() - 1);
   }
+  const size_t num_partitions = ss.partition_begin_.size();
+  ss.group_begin_.push_back(static_cast<uint32_t>(n));
+  ss.partition_begin_.push_back(
+      static_cast<uint32_t>(ss.group_partition_.size()));
+  ss.group_paths_ = std::move(order);
+  ss.partition_groups_.resize(ss.group_partition_.size());
+  std::iota(ss.partition_groups_.begin(), ss.partition_groups_.end(), 0);
 
   // Δ(x) = 1 for every path, group and partition (§5.1): no virtual order.
-  ss.path_rank_.assign(ss.num_paths(), 1);
-  ss.group_rank_.assign(ss.num_groups(), 1);
-  ss.partition_rank_.assign(ss.num_partitions(), 1);
+  ss.path_rank_.assign(n, 1);
+  ss.group_rank_.assign(ss.group_partition_.size(), 1);
+  ss.partition_rank_.assign(num_partitions, 1);
   return ss;
 }
 
@@ -219,9 +226,9 @@ Result<PathSet> Project(SolutionSpace ss, const ProjectionSpec& spec) {
   }
 
   // Algorithm 1. Sort(·) is a stable sort on Δ so that equal ranks keep
-  // their first-occurrence order. The group and path lists are sorted in
+  // their first-occurrence order. The group and path runs are sorted in
   // place: every group lies in one partition and every path in one group,
-  // so each list is sorted — and each path moved out — at most once.
+  // so each run is sorted — and each path copied out — at most once.
   auto take = [](const std::optional<size_t>& want, size_t have) {
     return (!want.has_value() || *want > have) ? have : *want;
   };
@@ -233,32 +240,50 @@ Result<PathSet> Project(SolutionSpace ss, const ProjectionSpec& spec) {
                      return ss.PartitionRank(a) < ss.PartitionRank(b);
                    });
 
+  auto group_before = [&](uint32_t a, uint32_t b) {
+    return ss.GroupRank(a) < ss.GroupRank(b);
+  };
+  // Path-level ties break by canonical path order (not insertion order):
+  // the paper's ANY/ANY SHORTEST are non-deterministic; we resolve them so
+  // the pick is independent of how the input set was produced, which makes
+  // optimizer rewrites exactly result-preserving. The paths of a space are
+  // distinct, so this is a strict total order: an unstable sort — or a
+  // partial sort of the first k — picks exactly what a stable sort would.
+  auto path_before = [&](uint32_t a, uint32_t b) {
+    if (ss.PathRank(a) != ss.PathRank(b)) {
+      return ss.PathRank(a) < ss.PathRank(b);
+    }
+    return ss.path(a) < ss.path(b);
+  };
+
   PathSet out;
   const size_t max_p = take(spec.partitions, seq_p.size());
   for (size_t pi = 0; pi < max_p; ++pi) {
-    std::vector<uint32_t>& seq_g = ss.partition_groups_[seq_p[pi]];
-    std::stable_sort(seq_g.begin(), seq_g.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return ss.GroupRank(a) < ss.GroupRank(b);
-                     });
-    const size_t max_g = take(spec.groups, seq_g.size());
+    const uint32_t p = seq_p[pi];
+    uint32_t* const seq_g =
+        ss.partition_groups_.data() + ss.partition_begin_[p];
+    uint32_t* const seq_g_end =
+        ss.partition_groups_.data() + ss.partition_begin_[p + 1];
+    // γ orders a partition's groups by length, which τ's MinL ranks
+    // follow, so this stable sort (and its buffer) is almost never needed.
+    if (!std::is_sorted(seq_g, seq_g_end, group_before)) {
+      std::stable_sort(seq_g, seq_g_end, group_before);
+    }
+    const size_t max_g = take(spec.groups, seq_g_end - seq_g);
     for (size_t gi = 0; gi < max_g; ++gi) {
-      std::vector<uint32_t>& seq_a = ss.group_paths_[seq_g[gi]];
-      // Path-level ties break by canonical path order (not insertion
-      // order): the paper's ANY/ANY SHORTEST are non-deterministic; we
-      // resolve them so the pick is independent of how the input set was
-      // produced, which makes optimizer rewrites exactly result-preserving.
-      std::stable_sort(seq_a.begin(), seq_a.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         if (ss.PathRank(a) != ss.PathRank(b)) {
-                           return ss.PathRank(a) < ss.PathRank(b);
-                         }
-                         return ss.path(a) < ss.path(b);
-                       });
-      const size_t max_a = take(spec.paths, seq_a.size());
+      const uint32_t g = seq_g[gi];
+      uint32_t* const seq_a = ss.group_paths_.data() + ss.group_begin_[g];
+      uint32_t* const seq_a_end =
+          ss.group_paths_.data() + ss.group_begin_[g + 1];
+      const size_t max_a = take(spec.paths, seq_a_end - seq_a);
+      if (max_a < static_cast<size_t>(seq_a_end - seq_a)) {
+        std::partial_sort(seq_a, seq_a + max_a, seq_a_end, path_before);
+      } else {
+        std::sort(seq_a, seq_a_end, path_before);
+      }
       for (size_t ai = 0; ai < max_a; ++ai) {
         const uint32_t i = seq_a[ai];
-        out.InsertHashed(std::move(ss.paths_[i]), ss.path_hashes_[i]);
+        out.InsertHashed(ss.paths_[i], ss.paths_.hash_of(i));
       }
     }
   }

@@ -15,13 +15,20 @@
 /// manipulates and π consumes. γ initializes every Δ to 1 (no order); τ
 /// redefines Δ per Table 6 (MinL of partitions/groups, Len of paths).
 ///
-/// The space owns the paths moved into it. γ takes the set it is handed —
-/// paths and their stored hashes — without copying a path; τ consumes its
-/// input space and rewrites Δ in place; π consumes its input space and
-/// moves the selected paths out. The evaluator owns every intermediate
-/// value, so it moves each one into the next operator: a path built by ϕ
-/// reaches the result set without ever being copied. A caller that passes
-/// an lvalue keeps it — the by-value parameter makes the copy.
+/// The space owns the paths moved into it. γ takes over the flat storage
+/// of the set it is handed — id arena, offsets and stored hashes
+/// (PathList, path_set.h) — without copying a path; τ consumes its input
+/// space and rewrites Δ in place; π consumes its input space and copies
+/// only the selected paths' ids into its result. The evaluator owns every
+/// intermediate value, so it moves each one into the next operator. A
+/// caller that passes an lvalue keeps it — the by-value parameter makes
+/// the copy.
+///
+/// Layout: γ's one stable sort of path indices by (source, target, length)
+/// key makes every group a contiguous run of the sorted order, and every
+/// partition a contiguous run of groups. So α⁻¹ and β⁻¹ are offset arrays
+/// over one index vector each, not a vector per group or partition, and
+/// freeing a space costs a constant number of frees.
 ///
 /// Deviation noted: for an empty input set the paper's γ∅ formally creates
 /// one empty group in one partition; we create an empty space (no
@@ -67,11 +74,11 @@ struct ProjectionSpec;
 class SolutionSpace {
  public:
   size_t num_paths() const { return paths_.size(); }
-  size_t num_groups() const { return group_paths_.size(); }
-  size_t num_partitions() const { return partition_groups_.size(); }
+  size_t num_groups() const { return group_partition_.size(); }
+  size_t num_partitions() const { return partition_rank_.size(); }
 
   PathRef path(size_t i) const { return paths_[i]; }
-  const std::vector<Path>& paths() const { return paths_; }
+  const PathList& paths() const { return paths_; }
 
   /// α: the group containing path i.
   uint32_t GroupOfPath(size_t i) const { return path_group_[i]; }
@@ -80,11 +87,13 @@ class SolutionSpace {
 
   /// Inverse images; groups of a partition come sorted by their length
   /// component, paths of a group in set insertion order.
-  const std::vector<uint32_t>& PathsOfGroup(size_t g) const {
-    return group_paths_[g];
+  IdSpan PathsOfGroup(size_t g) const {
+    return {group_paths_.data() + group_begin_[g],
+            group_begin_[g + 1] - group_begin_[g]};
   }
-  const std::vector<uint32_t>& GroupsOfPartition(size_t p) const {
-    return partition_groups_[p];
+  IdSpan GroupsOfPartition(size_t p) const {
+    return {partition_groups_.data() + partition_begin_[p],
+            partition_begin_[p + 1] - partition_begin_[p]};
   }
 
   /// Δ ranks (γ sets all to 1; τ rewrites them).
@@ -107,13 +116,19 @@ class SolutionSpace {
   friend Result<PathSet> Project(SolutionSpace ss,
                                  const ProjectionSpec& spec);
 
-  std::vector<Path> paths_;
-  /// path_hashes_[i] == paths_[i].Hash(), carried over from the input set.
-  std::vector<size_t> path_hashes_;
+  /// The paths and their hashes, taken over from γ's input set.
+  PathList paths_;
   std::vector<uint32_t> path_group_;
   std::vector<uint32_t> group_partition_;
-  std::vector<std::vector<uint32_t>> group_paths_;
-  std::vector<std::vector<uint32_t>> partition_groups_;
+  /// Group g's paths are group_paths_[group_begin_[g], group_begin_[g+1]):
+  /// γ's sorted order, which π reorders in place, one run at a time.
+  std::vector<uint32_t> group_paths_;
+  std::vector<uint32_t> group_begin_;
+  /// Partition p's groups are partition_groups_[partition_begin_[p],
+  /// partition_begin_[p+1]): consecutive group numbers after γ, reordered
+  /// in place by π.
+  std::vector<uint32_t> partition_groups_;
+  std::vector<uint32_t> partition_begin_;
   std::vector<size_t> path_rank_;
   std::vector<size_t> group_rank_;
   std::vector<size_t> partition_rank_;
@@ -138,10 +153,11 @@ struct ProjectionSpec {
   std::string ToString() const;
 };
 
-/// π(#P,#G,#A)(SS): Algorithm 1. Sorts partitions / groups / paths by Δ
-/// (stable — ties keep first-occurrence order, making ANY-style selections
-/// deterministic in this implementation) and emits the requested prefix of
-/// each level, moving the selected paths out of `ss`.
+/// π(#P,#G,#A)(SS): Algorithm 1. Sorts partitions and groups by Δ (stable —
+/// ties keep first-occurrence order, making ANY-style selections
+/// deterministic in this implementation) and paths by (Δ, canonical path
+/// order), and emits the requested prefix of each level, copying the
+/// selected paths out of `ss`.
 Result<PathSet> Project(SolutionSpace ss, const ProjectionSpec& spec);
 
 }  // namespace pathalg

@@ -68,11 +68,11 @@ class SourceRunner {
     return !options_.target.has_value() || *options_.target == n;
   }
 
-  void Emit(Path p) {
+  void Emit(PathRef p) {
     // size() > max_paths means the chunk already holds the max_paths + 1
     // distinct paths the merge needs to see; stop growing.
     if (out_->size() > options_.limits.max_paths) return;
-    out_->Insert(std::move(p));
+    out_->Insert(p);
   }
 
   // --- DFS enumeration for walk / trail / acyclic / simple ----------------

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "common/hash.h"
 
 namespace pathalg {
 
@@ -27,14 +26,24 @@ Result<Path> Path::Concat(PathRef p1, PathRef p2) {
 
 Path Path::ConcatUnchecked(PathRef p1, PathRef p2) {
   Path out;
-  std::vector<uint32_t>& ids = out.storage_;
-  ids.reserve(p1.ids().size() + p2.ids().size() - 1);
-  ids.insert(ids.end(), p1.nodes().begin(), p1.nodes().end());
-  ids.insert(ids.end(), p2.nodes().begin() + 1, p2.nodes().end());
-  ids.insert(ids.end(), p1.edges().begin(), p1.edges().end());
-  ids.insert(ids.end(), p2.edges().begin(), p2.edges().end());
+  AppendConcatIds(p1, p2, &out.storage_);
   out.Bind();
   return out;
+}
+
+void AppendConcatIds(PathRef p1, PathRef p2, std::vector<uint32_t>* ids) {
+  ids->insert(ids->end(), p1.nodes().begin(), p1.nodes().end());
+  ids->insert(ids->end(), p2.nodes().begin() + 1, p2.nodes().end());
+  ids->insert(ids->end(), p1.edges().begin(), p1.edges().end());
+  ids->insert(ids->end(), p2.edges().begin(), p2.edges().end());
+}
+
+size_t HashOfConcat(size_t hash1, PathRef p2, size_t hash2) {
+  // hash2 weighs First(p2) by base^(2·Len(p2)); p1's terms shift up by the
+  // same power, and the shared node counts once.
+  size_t power = 1;
+  for (size_t k = 0; k < 2 * p2.Len(); ++k) power *= kPathHashBase;
+  return (hash1 - PathHashStep(0, p2.First())) * power + hash2;
 }
 
 namespace {
@@ -121,8 +130,13 @@ Status PathRef::Validate(const PropertyGraph& g) const {
 }
 
 size_t PathRef::Hash() const {
-  size_t h = HashRange(nodes().begin(), nodes().end(), 0x70617468);
-  return HashRange(edges().begin(), edges().end(), h);
+  const IdSpan ns = nodes();
+  const IdSpan es = edges();
+  size_t h = 0;
+  for (size_t i = 0; i < es.size(); ++i) {
+    h = PathHashStep(PathHashStep(h, ns[i]), es[i]);
+  }
+  return empty() ? h : PathHashStep(h, ns.back());
 }
 
 std::string PathRef::ToString(const PropertyGraph& g) const {

@@ -8,12 +8,20 @@
 /// (see path_ops.h).
 ///
 /// A path is stored as one run of 2k+1 ids: its k+1 nodes, then its k
-/// edges. `PathRef` is a read-only view of such a run — two words, no
-/// ownership — and is what every operator reads: a `PathSet` hands out
-/// `PathRef`s into its id arena (path_set.h), and an owning `Path` is a
-/// `PathRef` over a buffer of its own, so a `Path` converts to a `PathRef`
-/// implicitly. The owning `Path` is only for callers that need a value
-/// (tests, `PathSet::Sorted()`, one-off constructions).
+/// edges. Two runs per path rather than interleaved ids, because the
+/// restrictor checks and the ϕ walkers scan nodes and edges separately and
+/// get contiguous spans this way; a copy or a concatenation is two or four
+/// memcpys either way. `PathRef` is a read-only view of such a run — two
+/// words, no ownership — and is what every operator reads: a `PathSet`
+/// hands out `PathRef`s into its id arena (path_set.h), and an owning
+/// `Path` is a `PathRef` over a buffer of its own, so a `Path` converts to
+/// a `PathRef` implicitly. The owning `Path` is only for callers that need
+/// a value (tests, `PathSet::Sorted()`, one-off constructions).
+///
+/// Hash(p) is a polynomial over the interleaved id sequence (n1, e1, n2,
+/// ..., nk+1), so it composes over concatenation (HashOfConcat): extending
+/// a path whose hash is known costs O(segment). No output order depends on
+/// a hash.
 ///
 /// The paper's path operators (§3.1) use 1-based positions: Node(p, i) is
 /// the i-th node, Edge(p, j) the j-th edge. This API mirrors that.
@@ -42,7 +50,7 @@ class IdSpan {
   constexpr IdSpan(const uint32_t* data, size_t size)
       : data_(data), size_(size) {}
   /// Views `v`, which must outlive the span.
-  IdSpan(const std::vector<uint32_t>& v)  // NOLINT(google-explicit-constructor)
+  IdSpan(const std::vector<uint32_t>& v)
       : data_(v.data()), size_(v.size()) {}
 
   const uint32_t* data() const { return data_; }
@@ -143,6 +151,33 @@ class PathRef {
   size_t num_ids_ = 0;
 };
 
+/// The odd base of the path hash polynomial.
+inline constexpr size_t kPathHashBase = 0xff51afd7ed558ccdULL;
+
+/// One step of the path hash: folds the next id of the interleaved
+/// sequence into `h`.
+inline size_t PathHashStep(size_t h, uint32_t id) {
+  return h * kPathHashBase + id + 1;
+}
+
+/// Hash(p1 ◦ p2) from hash1 == p1.Hash() and hash2 == p2.Hash(), in
+/// O(Len(p2)); precondition as Path::ConcatUnchecked.
+size_t HashOfConcat(size_t hash1, PathRef p2, size_t hash2);
+
+/// Appends the run of p1 ◦ p2 to `ids`; precondition as
+/// Path::ConcatUnchecked, and neither path views `*ids`.
+void AppendConcatIds(PathRef p1, PathRef p2, std::vector<uint32_t>* ids);
+
+/// The run of the length-one path of edge `e`, held by value: a PathRef
+/// source that costs no allocation.
+struct EdgePathIds {
+  EdgePathIds(const PropertyGraph& g, EdgeId e)
+      : ids{g.Source(e), g.Target(e), e} {}
+  operator PathRef() const { return {ids, 3}; }
+
+  uint32_t ids[3];
+};
+
 /// An owning path: a PathRef over an id buffer of its own.
 class Path : public PathRef {
  public:
@@ -176,17 +211,20 @@ class Path : public PathRef {
     other.Reset();
   }
   Path& operator=(const Path& other) {
-    storage_ = other.storage_;
-    Bind();
+    if (this != &other) {
+      storage_ = other.storage_;
+      Bind();
+    }
     return *this;
   }
   Path& operator=(Path&& other) noexcept {
-    storage_ = std::move(other.storage_);
-    Bind();
-    other.Reset();
+    if (this != &other) {
+      storage_ = std::move(other.storage_);
+      Bind();
+      other.Reset();
+    }
     return *this;
   }
-  ~Path() = default;
 
   /// Path concatenation p1 ◦ p2 (§3.1). Requires Last(p1) == First(p2);
   /// returns InvalidArgument otherwise.

@@ -17,78 +17,53 @@
 
 namespace pathalg {
 
-/// Immutable index over paths owned elsewhere: it holds PathRef views, so
-/// the indexed container must outlive the index and must not reallocate
-/// while the index is in use (a PathSet is stable as long as nothing
-/// inserts).
+/// Immutable index of a PathList by First(p): it holds the positions of
+/// the indexed paths, so a caller reads each match and its stored hash
+/// from the list, which must outlive the index.
 class PathFirstIndex {
  public:
-  /// A contiguous run of views of the paths sharing First(p).
-  class Bucket {
-   public:
-    constexpr Bucket() = default;
-    constexpr Bucket(const PathRef* first, const PathRef* last)
-        : begin_(first), end_(last) {}
-    const PathRef* begin() const { return begin_; }
-    const PathRef* end() const { return end_; }
-    size_t size() const { return static_cast<size_t>(end_ - begin_); }
-    bool empty() const { return begin_ == end_; }
-
-   private:
-    const PathRef* begin_ = nullptr;
-    const PathRef* end_ = nullptr;
-  };
-
   PathFirstIndex() = default;
-  explicit PathFirstIndex(const PathSet& paths) {
-    BuildFrom(paths, [](PathRef) { return true; });
-  }
-  explicit PathFirstIndex(const std::vector<Path>& paths) {
-    BuildFrom(paths, [](PathRef) { return true; });
-  }
-  /// Indexes only the paths of `paths` for which `keep(p)` holds.
+  explicit PathFirstIndex(const PathList& paths)
+      : PathFirstIndex(paths, [](PathRef) { return true; }) {}
+  /// Indexes only the non-empty paths p with keep(p), counting-sorted by
+  /// First(p); input order within each bucket, so operators stay
+  /// deterministic.
   template <typename Keep>
-  PathFirstIndex(const PathSet& paths, const Keep& keep) {
-    BuildFrom(paths, keep);
+  PathFirstIndex(const PathList& paths, const Keep& keep) {
+    std::vector<uint32_t> kept;
+    NodeId max_first = 0;
+    for (size_t i = 0; i < paths.size(); ++i) {
+      const PathRef p = paths[i];
+      if (p.empty() || !keep(p)) continue;
+      kept.push_back(static_cast<uint32_t>(i));
+      max_first = std::max(max_first, p.First());
+    }
+    if (kept.empty()) return;
+    offsets_.assign(size_t{max_first} + 2, 0);
+    for (uint32_t i : kept) offsets_[size_t{paths[i].First()} + 1]++;
+    for (size_t n = 0; n + 1 < offsets_.size(); ++n) {
+      offsets_[n + 1] += offsets_[n];
+    }
+    slots_.resize(kept.size());
+    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (uint32_t i : kept) slots_[cursor[paths[i].First()]++] = i;
   }
 
-  /// Paths whose First() == n; empty bucket when none (or n out of range).
-  Bucket ForFirst(NodeId n) const {
-    if (size_t{n} + 1 >= offsets_.size()) return Bucket();
-    const PathRef* base = slots_.data();
-    return Bucket(base + offsets_[n], base + offsets_[n + 1]);
+  /// Positions of the paths whose First() == n; empty when none (or n out
+  /// of range).
+  IdSpan ForFirst(NodeId n) const {
+    if (size_t{n} + 1 >= offsets_.size()) return IdSpan();
+    return {slots_.data() + offsets_[n], offsets_[n + 1] - offsets_[n]};
   }
 
   size_t size() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
 
  private:
-  /// Counting sort by First(p) of the non-empty kept paths; input order
-  /// within each bucket, so operators stay deterministic.
-  template <typename Paths, typename Keep>
-  void BuildFrom(const Paths& paths, const Keep& keep) {
-    slots_.reserve(paths.size());
-    for (PathRef p : paths) {
-      if (!p.empty() && keep(p)) slots_.push_back(p);
-    }
-    if (slots_.empty()) return;
-    NodeId max_first = 0;
-    for (PathRef p : slots_) max_first = std::max(max_first, p.First());
-    offsets_.assign(size_t{max_first} + 2, 0);
-    for (PathRef p : slots_) offsets_[size_t{p.First()} + 1]++;
-    for (size_t n = 0; n + 1 < offsets_.size(); ++n) {
-      offsets_[n + 1] += offsets_[n];
-    }
-    std::vector<PathRef> sorted(slots_.size());
-    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (PathRef p : slots_) sorted[cursor[p.First()]++] = p;
-    slots_ = std::move(sorted);
-  }
-
   // offsets_ has max(First)+2 entries; slots_[offsets_[n], offsets_[n+1])
-  // are the paths starting at node n, in input order.
+  // are the positions of the paths starting at node n, in input order.
   std::vector<uint32_t> offsets_;
-  std::vector<PathRef> slots_;
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace pathalg

@@ -4,25 +4,19 @@ namespace pathalg {
 
 PathSet NodesOf(const PropertyGraph& g) {
   PathSet out;
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    out.Insert(Path::SingleNode(n));
-  }
+  for (NodeId n = 0; n < g.num_nodes(); ++n) out.Insert(PathRef(&n, 1));
   return out;
 }
 
 PathSet EdgesOf(const PropertyGraph& g) {
   PathSet out;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    out.Insert(Path::EdgeOf(g, e));
-  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) out.Insert(EdgePathIds(g, e));
   return out;
 }
 
 PathSet EdgesWithLabelOf(const PropertyGraph& g, LabelId label) {
   PathSet out;
-  for (EdgeId e : g.EdgesWithLabel(label)) {
-    out.Insert(Path::EdgeOf(g, e));
-  }
+  for (EdgeId e : g.EdgesWithLabel(label)) out.Insert(EdgePathIds(g, e));
   return out;
 }
 

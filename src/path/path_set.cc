@@ -18,75 +18,73 @@ size_t CapacityFor(size_t n) {
 
 }  // namespace
 
-bool PathSet::InsertHashed(Path p, size_t hash) {
-  if (2 * (paths_.size() + 1) > slots_.size()) {
-    Rehash(CapacityFor(paths_.size() + 1));
-  }
+bool PathSet::InsertHashed(PathRef p, size_t hash) {
+  if (2 * (size() + 1) > slots_.size()) Rehash(CapacityFor(size() + 1));
   const size_t mask = slots_.size() - 1;
-  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+  for (size_t s = HomeSlot(hash);; s = (s + 1) & mask) {
     const uint32_t slot = slots_[s];
     if (slot == 0) {
-      slots_[s] = static_cast<uint32_t>(paths_.size() + 1);
-      paths_.push_back(std::move(p));
-      hashes_.push_back(hash);
+      slots_[s] = static_cast<uint32_t>(size() + 1);
+      paths_.Append(p, hash);
       return true;
     }
-    if (hashes_[slot - 1] == hash && paths_[slot - 1] == p) return false;
+    if (paths_.hash_of(slot - 1) == hash && paths_[slot - 1] == p) {
+      return false;
+    }
   }
-}
-
-bool PathSet::Contains(PathRef p) const {
-  return ContainsHashed(p, p.Hash());
 }
 
 bool PathSet::ContainsHashed(PathRef p, size_t hash) const {
   if (slots_.empty()) return false;
   const size_t mask = slots_.size() - 1;
-  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+  for (size_t s = HomeSlot(hash);; s = (s + 1) & mask) {
     const uint32_t slot = slots_[s];
     if (slot == 0) return false;
-    if (hashes_[slot - 1] == hash && paths_[slot - 1] == p) return true;
+    if (paths_.hash_of(slot - 1) == hash && paths_[slot - 1] == p) {
+      return true;
+    }
   }
 }
 
 void PathSet::Rehash(size_t capacity) {
   slots_.assign(capacity, 0);
+  shift_ = 64;
+  for (size_t c = capacity; c > 1; c /= 2) --shift_;
   const size_t mask = capacity - 1;
-  for (size_t i = 0; i < hashes_.size(); ++i) {
-    size_t s = hashes_[i] & mask;
+  for (size_t i = 0; i < size(); ++i) {
+    size_t s = HomeSlot(paths_.hash_of(i));
     while (slots_[s] != 0) s = (s + 1) & mask;
     slots_[s] = static_cast<uint32_t>(i + 1);
   }
 }
 
 void PathSet::Reserve(size_t n) {
-  paths_.reserve(n);
-  hashes_.reserve(n);
+  paths_.Reserve(n);
   if (2 * n > slots_.size()) Rehash(CapacityFor(n));
 }
 
 void PathSet::clear() {
   paths_.clear();
-  hashes_.clear();
   std::fill(slots_.begin(), slots_.end(), 0);
 }
 
-PathSet::Contents PathSet::Release() && {
-  slots_.clear();
+PathList PathSet::Release() && {
+  slots_ = {};
+  shift_ = 64;
   // A moved-from vector is empty, so the set is left empty.
-  return {std::move(paths_), std::move(hashes_)};
+  return std::move(paths_);
 }
 
 std::vector<Path> PathSet::Sorted() const {
-  std::vector<Path> out = paths_;
+  std::vector<Path> out(begin(), end());
   std::sort(out.begin(), out.end());
   return out;
 }
 
 bool PathSet::operator==(const PathSet& other) const {
   if (size() != other.size()) return false;
-  for (size_t i = 0; i < paths_.size(); ++i) {
-    if (!other.ContainsHashed(paths_[i], hashes_[i])) return false;
+  for (size_t i = 0; i < size(); ++i) {
+    if (!other.ContainsHashed(paths_[i], hash_of(i))) return false;
   }
   return true;
 }

@@ -112,10 +112,11 @@ bool MatchEdgeSeek(const PlanNode& node, EdgeSeek* seek) {
 /// The first-node test: true when node `n` passes every condition in
 /// `first_node`, each of which RefersOnlyToFirstNode. Such a condition
 /// reads the same object on the zero-length path (n) as on any path that
-/// starts at n, so σ's seek and ϕ's seeds both decide per node here.
+/// starts at n, so σ's seek and ϕ's seeds both decide per node here — on
+/// a view of `n` itself, without building a path.
 bool PassesAtFirstNode(const PropertyGraph& g, NodeId n,
                        const std::vector<const Condition*>& first_node) {
-  const Path at = Path::SingleNode(n);
+  const PathRef at(&n, 1);
   return std::all_of(first_node.begin(), first_node.end(),
                      [&](const Condition* c) { return c->Evaluate(g, at); });
 }
@@ -162,8 +163,8 @@ PathSet SeekEdges(const PropertyGraph& g, const Condition& c,
   }
   PathSet out;
   for (EdgeId e : candidates) {
-    Path p = Path::EdgeOf(g, e);
-    if (c.Evaluate(g, p)) out.Insert(std::move(p));
+    const EdgePathIds p(g, e);
+    if (c.Evaluate(g, p)) out.Insert(p);
   }
   return out;
 }

@@ -331,12 +331,12 @@ TEST(CsrDifferentialFuzz, DenseJoinIndexMatchesBruteForce) {
 TEST(PathFirstIndexTest, BucketsMatchInputOrder) {
   PropertyGraph g = MakeChainGraph(4, "k");
   PathSet s = EdgesOf(g);
-  PathFirstIndex idx(s);
+  PathFirstIndex idx(s.paths());
   EXPECT_EQ(idx.size(), s.size());
   size_t total = 0;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    for (PathRef p : idx.ForFirst(n)) {
-      EXPECT_EQ(p.First(), n);
+    for (uint32_t i : idx.ForFirst(n)) {
+      EXPECT_EQ(s[i].First(), n);
       ++total;
     }
   }
@@ -344,7 +344,7 @@ TEST(PathFirstIndexTest, BucketsMatchInputOrder) {
   // Out-of-range and empty buckets.
   EXPECT_TRUE(idx.ForFirst(kInvalidId).empty());
   EXPECT_TRUE(idx.ForFirst(3).empty());  // chain tail starts no edge
-  EXPECT_TRUE(PathFirstIndex(PathSet()).ForFirst(0).empty());
+  EXPECT_TRUE(PathFirstIndex(PathList()).ForFirst(0).empty());
 }
 
 }  // namespace

@@ -519,7 +519,7 @@ TEST(FrontierDifferentialTest, IneligiblePlansFallBackToMaterializingPhi) {
         ASSERT_TRUE(expected.ok()) << ctx << ": "
                                    << expected.status().ToString();
 
-        std::vector<Path> serial;
+        PathList serial;
         for (size_t t : {1u, 2u, 4u, 8u}) {
           EvalOptions opts = naive;
           opts.engine = PhiEngine::kOptimized;

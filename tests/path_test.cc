@@ -307,10 +307,10 @@ TEST_F(PathTest, PathSetReserveClearCopyMoveAndEmptyProbes) {
 
   // Release hands over paths and hashes in order and leaves an empty,
   // reusable set.
-  PathSet::Contents c = std::move(s).Release();
-  ASSERT_EQ(c.paths.size(), 2u);
-  EXPECT_EQ(c.paths[0], SyntheticPath(7));
-  EXPECT_EQ(c.hashes[1], SyntheticPath(3).Hash());
+  PathList c = std::move(s).Release();
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0], SyntheticPath(7));
+  EXPECT_EQ(c.hash_of(1), SyntheticPath(3).Hash());
   EXPECT_TRUE(s.empty());  // NOLINT(bugprone-use-after-move): documented
   EXPECT_FALSE(s.Contains(SyntheticPath(7)));
   EXPECT_TRUE(s.Insert(SyntheticPath(7)));

@@ -114,12 +114,11 @@ Result<PathSet> RunEngine(Engine engine, const PropertyGraph& g,
 }
 
 /// σ_{First ∈ seeds}(s), in s's order.
-std::vector<Path> KeepSeedFirst(const PathSet& s,
-                                const std::vector<NodeId>& seeds) {
-  std::vector<Path> out;
-  for (PathRef p : s) {
-    if (std::binary_search(seeds.begin(), seeds.end(), p.First())) {
-      out.emplace_back(p);
+PathList KeepSeedFirst(const PathSet& s, const std::vector<NodeId>& seeds) {
+  PathList out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (std::binary_search(seeds.begin(), seeds.end(), s[i].First())) {
+      out.Append(s[i], s.hash_of(i));
     }
   }
   return out;

@@ -509,7 +509,8 @@ PathSet RefProject(const RefSpace& ss, const ProjectionSpec& spec) {
 void ExpectSameSpace(const SolutionSpace& ss, const RefSpace& ref,
                      const std::string& where) {
   SCOPED_TRACE(where);
-  ASSERT_EQ(ss.paths(), ref.paths);
+  ASSERT_EQ(std::vector<Path>(ss.paths().begin(), ss.paths().end()),
+            ref.paths);
   ASSERT_EQ(ss.num_groups(), ref.group_paths.size());
   ASSERT_EQ(ss.num_partitions(), ref.partition_groups.size());
   for (size_t i = 0; i < ss.num_paths(); ++i) {
@@ -572,7 +573,7 @@ TEST_F(SolutionSpaceTest, ConsumingOperatorsMatchCopyingReferenceFuzz) {
                           ? g_
                           : MakeRandomGraph(n, m, {"a", "b"}, graph_seed);
     const PathSet input = RandomWalks(g, rng, rng() % 60);
-    const std::vector<Path> input_paths = input.paths();
+    const PathList input_paths = input.paths();
 
     for (GroupKey gk : kGroupKeys) {
       const RefSpace ref_grouped = RefGroupBy(input, gk);
