@@ -1,8 +1,6 @@
 // pathalg_serve — the concurrent query server (src/server): a shared
 // GraphCatalog + process-wide plan cache underneath one session per
-// client, speaking the line protocol of engine/serve.h extended with the
-// server commands (!threads, !limits, !timing, !record, catalog-backed
-// !graph, !stats with catalog/session/pool counters).
+// client, speaking the line protocol of server/session.h.
 //
 // Usage:
 //   pathalg_serve                          # Figure 1 graph, stdin/stdout
@@ -86,7 +84,7 @@ int ServePipe(server::SessionManager& manager, size_t min_ok) {
     std::cout << response << std::flush;
     if (!keep_going) break;
   }
-  const engine::ServeResult& result = s.result();
+  const server::ServeResult& result = s.result();
   std::fprintf(stderr, "session done: %zu requests, %zu ok, %zu errors\n",
                result.requests, result.ok, result.errors);
   if (result.ok < min_ok) {
@@ -226,8 +224,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "graph ready: %zu nodes, %zu edges (eval threads: %zu, "
                "max sessions: %zu)\n",
-               (*entry)->stats.nodes, (*entry)->stats.edges, threads,
-               max_sessions);
+               (*entry)->graph->num_nodes(), (*entry)->graph->num_edges(),
+               threads, max_sessions);
 
   if (port >= 0) {
     if (min_ok > 0) {

@@ -13,10 +13,11 @@
 /// can back every session of the concurrent server (src/server) —
 /// sessions on different graphs included, because prepared plans are
 /// graph-independent (Optimize sees only the plan and OptimizerOptions;
-/// see the SessionManager note on optimizer GraphStats). The mutex is
-/// held only for the map/list manipulation, never while parsing or
-/// optimizing — concurrent misses of one query may both prepare it, and
-/// the second Put simply replaces the first (both plans are valid).
+/// see SessionManagerOptions::engine in server/session.h, which nulls the
+/// optimizer's plan/cost.h GraphStats). The mutex is held only for the
+/// map/list manipulation, never while parsing or optimizing — concurrent
+/// misses of one query may both prepare it, and the second Put simply
+/// replaces the first (both plans are valid).
 
 #include <cstdint>
 #include <list>
@@ -71,7 +72,8 @@ class PlanCache {
   /// evicting the least-recently-used entry when over capacity.
   void Put(const std::string& key, PreparedQueryPtr prepared);
 
-  /// Drops all entries; stats counters are preserved.
+  /// Drops all entries (the protocol's `!cache clear`); stats counters
+  /// are preserved.
   void Clear();
 
   size_t size() const {

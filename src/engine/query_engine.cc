@@ -23,12 +23,6 @@ std::string QueryEngine::CacheKey(const std::string& normalized) const {
   return "g" + std::to_string(graph_token_) + "\x1f" + normalized;
 }
 
-void QueryEngine::ResetGraph(PropertyGraph graph) {
-  graph_ = std::make_shared<const PropertyGraph>(std::move(graph));
-  graph_token_ = NextGraphToken();
-  cache_->Clear();
-}
-
 Result<PreparedQueryPtr> QueryEngine::Prepare(std::string_view text,
                                               ExecStats* stats) {
   ExecStats local;

@@ -7,10 +7,9 @@
 /// PropertyGraph plus the session's QueryOptions, and runs query text
 /// end-to-end — normalize → plan-cache lookup → (parse → optimize on a
 /// miss) → evaluate — collecting per-stage wall timings for every call.
-/// The replay driver (engine/replay.h), the line-protocol server
-/// (engine/serve.h), the concurrent server (src/server) and
-/// examples/query_shell all sit on this class, so end-to-end latency is
-/// measured the same way everywhere.
+/// The replay driver (engine/replay.h), the server's line protocol
+/// (server/session.h) and examples/query_shell all sit on this class, so
+/// end-to-end latency is measured the same way everywhere.
 ///
 /// Sharing model: the graph is held by shared_ptr<const PropertyGraph> —
 /// immutable once built, so any number of sessions may share one instance
@@ -100,11 +99,6 @@ class QueryEngine {
     return graph_;
   }
   const EngineOptions& options() const { return options_; }
-
-  /// Swaps in a new (session-private) graph and clears the plan cache.
-  /// Historical, conservative behavior for single-session callers; use
-  /// SetGraph to swap without touching a cache other sessions share.
-  void ResetGraph(PropertyGraph graph);
 
   /// Swaps in a shared graph *without* clearing the plan cache — prepared
   /// plans are graph-independent (see EngineOptions::shared_cache), and

@@ -15,7 +15,6 @@
 
 #include "common/fault_injection.h"
 #include "common/str_util.h"
-#include "common/timing.h"
 #include "engine/workload_file.h"
 #include "storage/snapshot_format.h"
 #include "storage/snapshot_reader.h"
@@ -166,7 +165,6 @@ Result<CatalogEntryPtr> GraphCatalog::Get(std::string_view spec) {
   // alike go through the workload-file machinery, so catalog specs and
   // recorded `# graph` directives can never drift apart — a workload
   // recorded on any catalog graph loads.
-  const SteadyClock::time_point start = SteadyClock::now();
   auto entry = std::make_shared<CatalogEntry>();
   entry->spec = key;
   Status load_error = Status::OK();
@@ -202,10 +200,6 @@ Result<CatalogEntryPtr> GraphCatalog::Get(std::string_view spec) {
     slot->cv.NotifyAll();
     return load_error;
   }
-  entry->stats.nodes = entry->graph->num_nodes();
-  entry->stats.edges = entry->graph->num_edges();
-  entry->stats.labels = entry->graph->num_labels();
-  entry->stats.load_us = MicrosSince(start);
   CatalogEntryPtr shared = std::move(entry);
   {
     MutexLock lock(mu_);

@@ -41,26 +41,15 @@
 namespace pathalg {
 namespace server {
 
-/// Catalog-level facts about one loaded graph, shared alongside it.
-struct GraphStats {
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t labels = 0;
-  /// One-time build/load cost (amortization accounting, `!stats`).
-  uint64_t load_us = 0;
-};
-
-/// One catalog entry: the shared immutable graph plus its stats and the
-/// canonical spec it was loaded under. With GraphCatalogOptions::
-/// mutation_dir set, `live` additionally carries the mutable identity
-/// behind the entry: sessions route `!mutate` through it and refresh
+/// One catalog entry: the shared immutable graph and the canonical spec
+/// it was loaded under. With GraphCatalogOptions::mutation_dir set,
+/// `live` additionally carries the mutable identity behind the entry: sessions route `!mutate` through it and refresh
 /// their engine from `live->Current()`, while `graph` stays the version
 /// current at load time (pinning it keeps that version alive for the
 /// entry's whole lifetime, so readers never see a dangling base).
 struct CatalogEntry {
   std::string spec;
   std::shared_ptr<const PropertyGraph> graph;
-  GraphStats stats;
   /// Null for read-only catalogs (no mutation_dir). LiveGraph is
   /// internally synchronized, so sharing one per spec across sessions is
   /// exactly the per-graph write serialization the protocol promises.

@@ -30,7 +30,28 @@ std::string VersionHex(uint64_t version) {
   return hex;
 }
 
+/// The OK line of a query that produced `paths` paths.
+void AppendQueryOk(size_t paths, const engine::ExecStats& stats,
+                   bool timings, std::string* out) {
+  *out += "OK " + std::to_string(paths) + " paths";
+  if (timings) {
+    *out += std::string(" ") + (stats.cache_hit ? "hit" : "miss") +
+            " parse=" + std::to_string(stats.parse_us) +
+            "us opt=" + std::to_string(stats.optimize_us) +
+            "us eval=" + std::to_string(stats.eval_us) +
+            "us total=" + std::to_string(stats.total_us) + "us";
+  }
+  *out += "\n";
+}
+
 }  // namespace
+
+std::string OneLine(std::string s) {
+  for (char& c : s) {
+    if (c == '\n' || c == '\r') c = ' ';
+  }
+  return s;
+}
 
 // ---------------------------------------------------------------------------
 // SessionManager
@@ -116,58 +137,6 @@ SessionCounters SessionManager::counters() const {
   return counters_;
 }
 
-std::string SessionManager::StatsLines() const {
-  const CatalogCounters cat = catalog_->counters();
-  const SessionCounters ses = counters();
-  const ThreadPoolCounters pool = ThreadPool::Shared().Counters();
-  std::string out;
-  out += "STAT catalog_graphs=" + std::to_string(catalog_->size()) +
-         " catalog_loads=" + std::to_string(cat.loads) +
-         " catalog_hits=" + std::to_string(cat.hits) +
-         " catalog_errors=" + std::to_string(cat.errors) + "\n";
-  out += "STAT snapshot_hits=" + std::to_string(cat.snapshot_hits) +
-         " snapshot_misses=" + std::to_string(cat.snapshot_misses) +
-         " snapshot_evictions=" + std::to_string(cat.snapshot_evictions) +
-         "\n";
-  out += "STAT sessions_active=" + std::to_string(ses.active) +
-         " sessions_peak=" + std::to_string(ses.peak_active) +
-         " sessions_opened=" + std::to_string(ses.opened) +
-         " sessions_closed=" + std::to_string(ses.closed) +
-         " sessions_rejected=" + std::to_string(ses.rejected) +
-         " max_sessions=" + std::to_string(options_.max_sessions) + "\n";
-  out += "STAT pool_workers=" + std::to_string(pool.workers) +
-         " pool_regions=" + std::to_string(pool.regions) +
-         " pool_chunks=" + std::to_string(pool.chunks) +
-         " pool_steals=" + std::to_string(pool.steals) +
-         " pool_tasks=" + std::to_string(pool.tasks_submitted) + "\n";
-  const CatalogMutationStats mut = catalog_->mutation_stats();
-  out += "STAT mutation_graphs=" + std::to_string(mut.live_graphs) +
-         " mutations_applied=" + std::to_string(mut.totals.mutations_applied) +
-         " mutations_rejected=" +
-         std::to_string(mut.totals.mutations_rejected) +
-         " mutations_pending=" + std::to_string(mut.totals.pending) +
-         " compactions=" + std::to_string(mut.totals.compactions) +
-         " materializations=" + std::to_string(mut.totals.materializations) +
-         " recovered_records=" +
-         std::to_string(mut.totals.recovered_records) +
-         " stale_journals=" + std::to_string(mut.totals.stale_journals) +
-         "\n";
-  out += "STAT deadline_trips=" + std::to_string(ses.deadline_trips) +
-         " cancelled_queries=" + std::to_string(ses.cancelled_queries) +
-         " slow_client_drops=" + std::to_string(ses.slow_client_drops) +
-         " quarantined_snapshots=" +
-         std::to_string(cat.quarantined_snapshots) + "\n";
-  const FaultInjector& faults = FaultInjector::Global();
-  std::string fault_line = "STAT faults";
-  for (int s = 0; s < kNumFaultSites; ++s) {
-    const FaultSite site = static_cast<FaultSite>(s);
-    fault_line += std::string(" ") + FaultSiteName(site) + "=" +
-                  std::to_string(faults.Injected(site));
-  }
-  out += fault_line + "\n";
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // ServerSession
 // ---------------------------------------------------------------------------
@@ -180,36 +149,6 @@ ServerSession::ServerSession(SessionManager* manager,
       graph_spec_(catalog_entry_->spec),
       engine_(catalog_entry_->graph, std::move(options)) {
   deadline_ms_ = manager_->options_.default_deadline_ms;
-  serve_.query_observer = [this](std::string_view query,
-                                 const Result<PathSet>& result) {
-    // Classify cancellations by the pinned Status wording so the
-    // deadline_trips / cancelled_queries counters track the ERR lines
-    // clients actually saw.
-    if (!result.ok() && IsCancelledStatus(result.status())) {
-      manager_->RecordQueryCancelled(
-          IsDeadlineCancelledStatus(result.status()));
-    }
-    if (!recording_) return;
-    // A leading '#' would read back as a directive; such lines are
-    // unrepresentable in .gqlw (and are never valid GQL anyway).
-    if (!query.empty() && query[0] == '#') return;
-    engine::WorkloadEntry entry;
-    entry.name = "q" + std::to_string(recorded_.entries.size() + 1);
-    entry.query = std::string(query);
-    // Successful queries replay as correctness checks: the recorded
-    // cardinality becomes `# expect`, which ReplayWorkload asserts —
-    // but only when the session runs under the default EvalLimits. The
-    // .gqlw format has no limits directive, so a cardinality shaped by
-    // `!limits` (a truncated answer, say) would fail every replay.
-    const EvalLimits& l = engine_.eval_limits();
-    const EvalLimits defaults;
-    const bool default_limits = l.max_paths == defaults.max_paths &&
-                                l.max_path_length == defaults.max_path_length &&
-                                l.max_iterations == defaults.max_iterations &&
-                                l.truncate == defaults.truncate;
-    if (result.ok() && default_limits) entry.expect = result->size();
-    recorded_.entries.push_back(std::move(entry));
-  };
 }
 
 ServerSession::~ServerSession() {
@@ -239,18 +178,110 @@ std::string ServerSession::StopRecording() {
   return line;
 }
 
-bool ServerSession::HandleServerCommand(std::string_view cmd,
-                                        std::string_view rest,
-                                        std::string* out, bool* handled) {
-  *handled = true;
-  auto ok = [&](std::string line) {
-    *out += std::move(line);
-    ++result_.requests;
+void ServerSession::RecordQuery(std::string_view query,
+                                const Result<PathSet>& result) {
+  // A leading '#' would read back as a directive; such lines are
+  // unrepresentable in .gqlw (and are never valid GQL anyway).
+  if (query[0] == '#') return;
+  engine::WorkloadEntry entry;
+  entry.name = "q" + std::to_string(recorded_.entries.size() + 1);
+  entry.query = std::string(query);
+  // Successful queries replay as correctness checks: the recorded
+  // cardinality becomes `# expect`, which ReplayWorkload asserts — but
+  // only when the session runs under the default EvalLimits. The .gqlw
+  // format has no limits directive, so a cardinality shaped by `!limits`
+  // (a truncated answer, say) would fail every replay.
+  const EvalLimits& l = engine_.eval_limits();
+  const EvalLimits defaults;
+  const bool default_limits = l.max_paths == defaults.max_paths &&
+                              l.max_path_length == defaults.max_path_length &&
+                              l.max_iterations == defaults.max_iterations &&
+                              l.truncate == defaults.truncate;
+  if (result.ok() && default_limits) entry.expect = result->size();
+  recorded_.entries.push_back(std::move(entry));
+}
+
+std::string ServerSession::StatsLines() const {
+  const engine::SessionStats& s = engine_.session_stats();
+  const engine::PlanCacheStats c = engine_.cache().stats();
+  const GraphCatalog& catalog = manager_->catalog();
+  const CatalogCounters cat = catalog.counters();
+  const SessionCounters ses = manager_->counters();
+  const ThreadPoolCounters pool = ThreadPool::Shared().Counters();
+  std::string out;
+  out += "STAT queries=" + std::to_string(s.queries) +
+         " errors=" + std::to_string(s.errors) +
+         " paths=" + std::to_string(s.paths_produced) + "\n";
+  out += "STAT parse_us=" + std::to_string(s.parse_us) +
+         " optimize_us=" + std::to_string(s.optimize_us) +
+         " eval_us=" + std::to_string(s.eval_us) +
+         " total_us=" + std::to_string(s.total_us) + "\n";
+  out += "STAT cache_size=" + std::to_string(engine_.cache().size()) +
+         " cache_hits=" + std::to_string(c.hits) +
+         " cache_misses=" + std::to_string(c.misses) +
+         " cache_evictions=" + std::to_string(c.evictions) + "\n";
+  out += "STAT graph_nodes=" + std::to_string(engine_.graph().num_nodes()) +
+         " graph_edges=" + std::to_string(engine_.graph().num_edges()) + "\n";
+  out += "STAT catalog_graphs=" + std::to_string(catalog.size()) +
+         " catalog_loads=" + std::to_string(cat.loads) +
+         " catalog_hits=" + std::to_string(cat.hits) +
+         " catalog_errors=" + std::to_string(cat.errors) + "\n";
+  out += "STAT snapshot_hits=" + std::to_string(cat.snapshot_hits) +
+         " snapshot_misses=" + std::to_string(cat.snapshot_misses) +
+         " snapshot_evictions=" + std::to_string(cat.snapshot_evictions) +
+         "\n";
+  out += "STAT sessions_active=" + std::to_string(ses.active) +
+         " sessions_peak=" + std::to_string(ses.peak_active) +
+         " sessions_opened=" + std::to_string(ses.opened) +
+         " sessions_closed=" + std::to_string(ses.closed) +
+         " sessions_rejected=" + std::to_string(ses.rejected) +
+         " max_sessions=" + std::to_string(manager_->max_sessions()) + "\n";
+  out += "STAT pool_workers=" + std::to_string(pool.workers) +
+         " pool_regions=" + std::to_string(pool.regions) +
+         " pool_chunks=" + std::to_string(pool.chunks) +
+         " pool_steals=" + std::to_string(pool.steals) +
+         " pool_tasks=" + std::to_string(pool.tasks_submitted) + "\n";
+  const CatalogMutationStats mut = catalog.mutation_stats();
+  out += "STAT mutation_graphs=" + std::to_string(mut.live_graphs) +
+         " mutations_applied=" + std::to_string(mut.totals.mutations_applied) +
+         " mutations_rejected=" +
+         std::to_string(mut.totals.mutations_rejected) +
+         " mutations_pending=" + std::to_string(mut.totals.pending) +
+         " compactions=" + std::to_string(mut.totals.compactions) +
+         " materializations=" + std::to_string(mut.totals.materializations) +
+         " recovered_records=" +
+         std::to_string(mut.totals.recovered_records) +
+         " stale_journals=" + std::to_string(mut.totals.stale_journals) +
+         "\n";
+  out += "STAT deadline_trips=" + std::to_string(ses.deadline_trips) +
+         " cancelled_queries=" + std::to_string(ses.cancelled_queries) +
+         " slow_client_drops=" + std::to_string(ses.slow_client_drops) +
+         " quarantined_snapshots=" +
+         std::to_string(cat.quarantined_snapshots) + "\n";
+  const FaultInjector& faults = FaultInjector::Global();
+  std::string fault_line = "STAT faults";
+  for (int s = 0; s < kNumFaultSites; ++s) {
+    const FaultSite site = static_cast<FaultSite>(s);
+    fault_line += std::string(" ") + FaultSiteName(site) + "=" +
+                  std::to_string(faults.Injected(site));
+  }
+  out += fault_line + "\n";
+  return out;
+}
+
+bool ServerSession::HandleCommand(std::string_view line, std::string* out) {
+  const size_t space = line.find_first_of(" \t");
+  const std::string_view cmd = line.substr(0, space);
+  const std::string_view rest =
+      space == std::string_view::npos
+          ? std::string_view()
+          : StripWhitespace(line.substr(space + 1));
+  auto ok = [&](std::string response) {
+    *out += std::move(response);
     ++result_.ok;
   };
-  auto err = [&](std::string line) {
-    *out += std::move(line);
-    ++result_.requests;
+  auto err = [&](std::string response) {
+    *out += std::move(response);
     ++result_.errors;
   };
 
@@ -319,10 +350,10 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
 
   if (cmd == "!timing") {
     if (rest == "on") {
-      serve_.timings = true;
+      timings_ = true;
       ok("OK timing on\n");
     } else if (rest == "off") {
-      serve_.timings = false;
+      timings_ = false;
       ok("OK timing off\n");
     } else {
       err("ERR !timing takes 'on' or 'off'\n");
@@ -380,8 +411,7 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
     if (rest.empty()) {
       // The catalog maps an empty spec to the figure1 default (for
       // server startup); a bare client command is far more likely a typo
-      // than a request to swap to figure1 — reject it, matching the base
-      // protocol's "empty graph spec" error.
+      // than a request to swap to figure1, so reject it.
       err("ERR !graph needs a spec (try figure1, social ..., csv <path>; "
           "see !help)\n");
       return true;
@@ -395,7 +425,7 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
     }
     Result<CatalogEntryPtr> entry = manager_->catalog().Get(rest);
     if (!entry.ok()) {
-      err("ERR " + engine::OneLine(entry.status().ToString()) + "\n");
+      err("ERR " + OneLine(entry.status().ToString()) + "\n");
       return true;
     }
     catalog_entry_ = std::move(entry).value();
@@ -423,13 +453,13 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
     Result<mutation::DeltaRecord> rec =
         mutation::ParseMutationCommand(rest);
     if (!rec.ok()) {
-      err("ERR " + engine::OneLine(rec.status().ToString()) + "\n");
+      err("ERR " + OneLine(rec.status().ToString()) + "\n");
       return true;
     }
     mutation::DeltaRecord resolved;
     Status applied = catalog_entry_->live->Mutate(*rec, &resolved);
     if (!applied.ok()) {
-      err("ERR " + engine::OneLine(applied.ToString()) + "\n");
+      err("ERR " + OneLine(applied.ToString()) + "\n");
       return true;
     }
     RefreshLiveGraph();
@@ -464,8 +494,7 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
   }
 
   if (cmd == "!stats") {
-    *out += engine::StatsLines(engine_);
-    *out += manager_->StatsLines();
+    *out += StatsLines();
     ok("OK stats\n");
     return true;
   }
@@ -482,7 +511,19 @@ bool ServerSession::HandleServerCommand(std::string_view cmd,
     return true;
   }
 
-  *handled = false;
+  if (cmd == "!cache" && rest == "clear") {
+    engine_.cache().Clear();
+    ok("OK cache cleared\n");
+    return true;
+  }
+
+  if (cmd == "!quit") {
+    ok("OK bye\n");
+    return false;
+  }
+
+  err("ERR Invalid argument: unknown command '" + std::string(line) +
+      "' (try !help)\n");
   return true;
 }
 
@@ -497,37 +538,39 @@ void ServerSession::RefreshLiveGraph() {
 bool ServerSession::HandleLine(const std::string& line, std::string* out) {
   const std::string_view trimmed = StripWhitespace(line);
   if (trimmed.empty()) return true;
+  ++result_.requests;
   // Pick up versions published by other sessions' mutations before
   // handling anything — each request line sees the latest version, and
   // keeps it pinned (shared_ptr) for exactly this line's duration.
   RefreshLiveGraph();
-  if (trimmed[0] == '!') {
-    const size_t space = trimmed.find_first_of(" \t");
-    const std::string_view cmd = trimmed.substr(0, space);
-    const std::string_view rest =
-        space == std::string_view::npos
-            ? std::string_view()
-            : StripWhitespace(trimmed.substr(space + 1));
-    bool handled = false;
-    const bool keep_going = HandleServerCommand(cmd, rest, out, &handled);
-    if (handled) return keep_going;
-    // Fall through to the base protocol (!cache clear, !quit, unknown).
-  }
-  // The original line, not a copy of the trimmed view: HandleRequestLine
-  // strips whitespace itself.
-  //
+  if (trimmed[0] == '!') return HandleCommand(trimmed, out);
+
   // Every query runs under a fresh per-query CancelToken parented to the
   // manager's shutdown token: the session's `!deadline` budget arms it,
   // and a server-wide drain cancels through the parent. The token lives
-  // on this frame — HandleRequestLine is synchronous and the engine
-  // drops the pointer before returning.
+  // on this frame: Execute is synchronous, and the engine's pointer to it
+  // is cleared as soon as Execute returns.
   CancelToken cancel(&manager_->shutdown_token());
   if (deadline_ms_ > 0) cancel.ArmDeadline(deadline_ms_);
   engine_.SetCancelToken(&cancel);
-  const bool keep_going =
-      engine::HandleRequestLine(engine_, line, out, &result_, serve_);
+  engine::ExecStats stats;
+  Result<PathSet> r = engine_.Execute(trimmed, &stats);
   engine_.SetCancelToken(nullptr);
-  return keep_going;
+  if (recording_) RecordQuery(trimmed, r);
+  if (r.ok()) {
+    AppendQueryOk(r->size(), stats, timings_, out);
+    ++result_.ok;
+    return true;
+  }
+  // Classify cancellations by the pinned Status wording so the
+  // deadline_trips / cancelled_queries counters track the ERR lines
+  // clients actually saw.
+  if (IsCancelledStatus(r.status())) {
+    manager_->RecordQueryCancelled(IsDeadlineCancelledStatus(r.status()));
+  }
+  *out += "ERR " + OneLine(r.status().ToString()) + "\n";
+  ++result_.errors;
+  return true;
 }
 
 }  // namespace server

@@ -9,9 +9,15 @@
 /// engine::QueryEngine (per-session stats/options) over the shared graph
 /// and cache.
 ///
-/// A ServerSession speaks the line protocol of engine/serve.h extended
-/// with server commands:
+/// A ServerSession answers the line protocol behind `pathalg_serve`: one
+/// request per line in (blank lines are ignored), one or more response
+/// lines out, the last one "OK ..." or "ERR ...". Requests:
 ///
+///   <query>                    "OK <n> paths hit|miss parse=<us>us
+///                              opt=<us>us eval=<us>us total=<us>us", or
+///                              just "OK <n> paths" under `!timing off`;
+///                              errors answer "ERR <code>: <message>"
+///                              (always one line)
 ///   !threads N                 per-session eval thread count
 ///   !limits [k=v ...]          per-session EvalLimits (admission control:
 ///                              max_paths, max_len, max_iterations,
@@ -44,10 +50,18 @@
 ///                              graph's current version ("OK version
 ///                              <16 hex digits>"); two graphs share an id
 ///                              iff their snapshots are byte-identical
-///   !stats                     engine stats + catalog/session/pool lines
+///   !stats                     "STAT ..." lines: session query and stage
+///                              totals, plan cache, graph, catalog,
+///                              snapshots, sessions, pool, mutation,
+///                              robustness and fault-injection counters,
+///                              keys and line order pinned (clients parse
+///                              them by key)
+///   !cache clear               empties the shared plan cache
+///   !help                      one HELP line listing the commands
+///   !quit                      "OK bye"; HandleLine returns false
 ///
-/// plus everything the base protocol handles (queries, !help, !cache
-/// clear, !quit).
+/// Anything else starting with '!' answers "ERR Invalid argument: unknown
+/// command '<line>' (try !help)".
 ///
 /// Determinism contract: with `!timing off`, a session's responses to
 /// queries and to the session-scoped commands are byte-identical to a
@@ -72,7 +86,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "engine/query_engine.h"
-#include "engine/serve.h"
 #include "engine/workload_file.h"
 #include "server/graph_catalog.h"
 
@@ -115,6 +128,18 @@ struct SessionCounters {
   uint64_t slow_client_drops = 0;
 };
 
+/// Request counters of one session (`pathalg_serve`'s stdin mode reports
+/// them and gates `--min-ok` on `ok`).
+struct ServeResult {
+  size_t requests = 0;  // non-empty lines handled
+  size_t ok = 0;        // responses that began with "OK"
+  size_t errors = 0;    // responses that began with "ERR"
+};
+
+/// Flattens newlines to spaces: the protocol is one line per response,
+/// but Status messages (parser diagnostics) may span lines.
+std::string OneLine(std::string s);
+
 class SessionManager;
 
 /// One connection's protocol state machine. Create via
@@ -131,7 +156,7 @@ class ServerSession {
   /// session should end (`!quit`).
   bool HandleLine(const std::string& line, std::string* out);
 
-  const engine::ServeResult& result() const { return result_; }
+  const ServeResult& result() const { return result_; }
   engine::QueryEngine& engine() { return engine_; }
   const std::string& graph_spec() const { return graph_spec_; }
   bool recording() const { return recording_; }
@@ -141,8 +166,12 @@ class ServerSession {
   ServerSession(SessionManager* manager, CatalogEntryPtr catalog_entry,
                 engine::EngineOptions options);
 
-  bool HandleServerCommand(std::string_view cmd, std::string_view rest,
-                           std::string* out, bool* handled);
+  /// Answers one `!command` line (trimmed); false for `!quit`.
+  bool HandleCommand(std::string_view line, std::string* out);
+  /// Appends a finished query to the active recording.
+  void RecordQuery(std::string_view query, const Result<PathSet>& result);
+  /// The `!stats` "STAT ..." lines (no trailing OK).
+  std::string StatsLines() const;
   /// Finishes an active recording, writing the .gqlw; returns the status
   /// line ("OK recorded ..." or "ERR ...").
   std::string StopRecording();
@@ -155,8 +184,12 @@ class ServerSession {
   CatalogEntryPtr catalog_entry_;  // keeps the shared graph alive
   std::string graph_spec_;
   engine::QueryEngine engine_;
-  engine::ServeOptions serve_;
-  engine::ServeResult result_;
+  ServeResult result_;
+
+  /// `!timing`: include the cache outcome and per-stage microseconds in
+  /// query responses. Off, a query answers exactly "OK <n> paths" — the
+  /// deterministic surface the byte-identity contract is asserted on.
+  bool timings_ = true;
 
   /// Per-query wall-clock budget (`!deadline`); 0 = none.
   uint64_t deadline_ms_ = 0;
@@ -195,9 +228,6 @@ class SessionManager {
   /// Counter feeds from the session/transport layers (thread-safe).
   void RecordQueryCancelled(bool deadline);
   void RecordSlowClientDrop();
-
-  /// The catalog/session/pool "STAT ..." lines appended to `!stats`.
-  std::string StatsLines() const;
 
  private:
   friend class ServerSession;

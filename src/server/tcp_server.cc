@@ -219,8 +219,7 @@ struct TcpServer::Impl {
         const std::string line =
             session.status().code() == StatusCode::kResourceExhausted
                 ? manager->BusyLine()
-                : "ERR " + engine::OneLine(session.status().ToString()) +
-                      "\n";
+                : "ERR " + OneLine(session.status().ToString()) + "\n";
         auto in_flight = refusals_in_flight;
         if (in_flight->fetch_add(1, std::memory_order_relaxed) <
             kMaxRefusalTasks) {

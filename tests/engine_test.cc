@@ -1,18 +1,16 @@
 // Tests for the query-engine subsystem (src/engine): query-text
 // normalization, the LRU plan cache (hit/miss/eviction), QueryEngine
-// session behavior incl. error paths, the line-protocol request handler,
-// and the skewed social-graph generator the replay workloads run on.
+// session behavior incl. error paths, and the skewed social-graph
+// generator the replay workloads run on.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "engine/plan_cache.h"
 #include "engine/query_engine.h"
-#include "engine/serve.h"
 #include "engine/workload_file.h"
 #include "gql/query.h"
 #include "workload/figure1.h"
@@ -388,12 +386,10 @@ TEST(QueryEngineTest, ExecutePreparedSurvivesEviction) {
   EXPECT_EQ(r->size(), 9u);
 }
 
-TEST(QueryEngineTest, ResetGraphClearsCacheAndReusesSession) {
+TEST(QueryEngineTest, SetGraphAnswersOnTheNewGraphAndKeepsSession) {
   QueryEngine eng(MakeFigure1Graph());
   ASSERT_TRUE(eng.Execute(kShortestTrail).ok());
-  EXPECT_EQ(eng.cache().size(), 1u);
-  eng.ResetGraph(MakeChainGraph(4));
-  EXPECT_EQ(eng.cache().size(), 0u);
+  eng.SetGraph(std::make_shared<const PropertyGraph>(MakeChainGraph(4)));
   ExecStats stats;
   auto r = eng.Execute("MATCH ALL WALK p = (?x)-[:Knows]->(?y)", &stats);
   ASSERT_TRUE(r.ok()) << r.status();
@@ -410,50 +406,6 @@ TEST(QueryEngineTest, CacheDisabledStillExecutes) {
   ASSERT_TRUE(eng.Execute(kShortestTrail, &s2).ok());
   EXPECT_FALSE(s2.cache_hit);
   EXPECT_GT(s2.parse_us + s2.optimize_us + s2.eval_us, 0u);
-}
-
-// --- Line protocol (engine/serve.h) ---------------------------------------
-
-TEST(ServeTest, AnswersQueriesAndCommands) {
-  QueryEngine eng(MakeFigure1Graph());
-  std::istringstream in(
-      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)\n"
-      "\n"
-      "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)\n"
-      "not a query\n"
-      "!stats\n"
-      "!quit\n"
-      "MATCH ALL WALK p = (?x)-[:Knows]->(?y)\n");  // after quit: unread
-  std::ostringstream out;
-  ServeResult result = ServeLines(eng, in, out);
-  EXPECT_EQ(result.requests, 5u);  // empty line skipped, post-quit unread
-  EXPECT_EQ(result.ok, 4u);        // 2 queries + !stats + !quit
-  EXPECT_EQ(result.errors, 1u);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("OK 9 paths miss"), std::string::npos) << text;
-  EXPECT_NE(text.find("OK 9 paths hit"), std::string::npos) << text;
-  EXPECT_NE(text.find("ERR Parse error"), std::string::npos) << text;
-  EXPECT_NE(text.find("STAT queries=3"), std::string::npos) << text;
-  EXPECT_NE(text.find("OK bye"), std::string::npos) << text;
-}
-
-TEST(ServeTest, GraphSwapAndCacheClear) {
-  QueryEngine eng(MakeFigure1Graph());
-  ServeResult result;
-  std::string out;
-  EXPECT_TRUE(HandleRequestLine(eng, "!graph chain n=5", &out, &result));
-  EXPECT_NE(out.find("OK graph 5 nodes 4 edges"), std::string::npos) << out;
-  out.clear();
-  EXPECT_TRUE(HandleRequestLine(eng, "!graph bogus", &out, &result));
-  EXPECT_NE(out.find("ERR"), std::string::npos) << out;
-  out.clear();
-  EXPECT_TRUE(HandleRequestLine(eng, "!cache clear", &out, &result));
-  EXPECT_NE(out.find("OK cache cleared"), std::string::npos) << out;
-  out.clear();
-  EXPECT_TRUE(HandleRequestLine(eng, "!frobnicate", &out, &result));
-  EXPECT_NE(out.find("ERR"), std::string::npos) << out;
-  out.clear();
-  EXPECT_FALSE(HandleRequestLine(eng, "!quit", &out, &result));
 }
 
 // --- MakeSkewedSocialGraph -------------------------------------------------

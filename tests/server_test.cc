@@ -1,7 +1,7 @@
 // Tests for the concurrent serving subsystem (src/server): the
 // GraphCatalog's load-once sharing, the SessionManager's admission gate
-// and shared plan cache, the ServerSession protocol extensions (!limits,
-// !threads, !timing, !record, catalog-backed !graph, extended !stats),
+// and shared plan cache, the ServerSession line protocol (queries and
+// every command, with the exact !stats surface pinned),
 // live workload recording round-tripped through the .gqlw loader and the
 // replay driver, the TCP front-end (two concurrent clients replaying
 // different workloads byte-identical to serial single-client runs; BUSY
@@ -18,10 +18,13 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/str_util.h"
 #include "engine/replay.h"
 #include "engine/workload_file.h"
 #include "server/graph_catalog.h"
@@ -75,8 +78,8 @@ TEST(GraphCatalogTest, LoadsEachSpecExactlyOnceAndShares) {
   const server::CatalogCounters c = catalog.counters();
   EXPECT_EQ(c.loads, 1u);
   EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ((*a)->stats.nodes, 7u);
-  EXPECT_EQ((*a)->stats.edges, 11u);
+  EXPECT_EQ((*a)->graph->num_nodes(), 7u);
+  EXPECT_EQ((*a)->graph->num_edges(), 11u);
 }
 
 TEST(GraphCatalogTest, CanonicalizesSpecWhitespace) {
@@ -322,6 +325,66 @@ TEST(ServerSessionTest, TimingToggleMakesResponsesDeterministic) {
   EXPECT_EQ(h.Handle("!timing sideways"), "ERR !timing takes 'on' or 'off'\n");
 }
 
+TEST(ServerSessionTest, AnswersQueriesAndCountsRequests) {
+  SessionHarness h;
+  std::string out;
+  for (const char* line :
+       {"MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)", "", " \t ",
+        "MATCH ANY SHORTEST TRAIL p = (x)-[:Knows+]->(y)", "not a query",
+        "!stats"}) {
+    EXPECT_TRUE(h.session->HandleLine(line, &out)) << line;
+  }
+  EXPECT_FALSE(h.session->HandleLine("!quit", &out));
+  const server::ServeResult& result = h.session->result();
+  EXPECT_EQ(result.requests, 5u);  // blank lines are not requests
+  EXPECT_EQ(result.ok, 4u);        // 2 queries + !stats + !quit
+  EXPECT_EQ(result.errors, 1u);
+  EXPECT_NE(out.find("OK 9 paths miss"), std::string::npos) << out;
+  EXPECT_NE(out.find("OK 9 paths hit"), std::string::npos) << out;
+  EXPECT_NE(out.find("ERR Parse error"), std::string::npos) << out;
+  EXPECT_NE(out.find("STAT queries=3"), std::string::npos) << out;
+  EXPECT_EQ(out.substr(out.size() - 7), "OK bye\n") << out;
+}
+
+/// `!stats` is parsed by key (pathalg_bench reads cache_hits,
+/// cache_misses, cache_evictions and materializations off it), so its
+/// line order and key names are pinned exactly; only the values vary.
+TEST(ServerSessionTest, StatsLinesAndKeysArePinned) {
+  SessionHarness h;
+  std::vector<std::string> shape;
+  std::istringstream lines(h.Handle("!stats"));
+  for (std::string line; std::getline(lines, line);) {
+    std::string keys;
+    for (std::string_view word : SplitWhitespace(line)) {
+      if (!keys.empty()) keys += ' ';
+      const size_t eq = word.find('=');  // "key=value" -> "key="
+      keys += eq == std::string_view::npos ? word : word.substr(0, eq + 1);
+    }
+    shape.push_back(keys);
+  }
+  const std::vector<std::string> expected = {
+      "STAT queries= errors= paths=",
+      "STAT parse_us= optimize_us= eval_us= total_us=",
+      "STAT cache_size= cache_hits= cache_misses= cache_evictions=",
+      "STAT graph_nodes= graph_edges=",
+      "STAT catalog_graphs= catalog_loads= catalog_hits= catalog_errors=",
+      "STAT snapshot_hits= snapshot_misses= snapshot_evictions=",
+      "STAT sessions_active= sessions_peak= sessions_opened= "
+      "sessions_closed= sessions_rejected= max_sessions=",
+      "STAT pool_workers= pool_regions= pool_chunks= pool_steals= "
+      "pool_tasks=",
+      "STAT mutation_graphs= mutations_applied= mutations_rejected= "
+      "mutations_pending= compactions= materializations= "
+      "recovered_records= stale_journals=",
+      "STAT deadline_trips= cancelled_queries= slow_client_drops= "
+      "quarantined_snapshots=",
+      "STAT faults snapshot-read= snapshot-mmap= catalog-load= "
+      "socket-write= record-flush=",
+      "OK stats",
+  };
+  EXPECT_EQ(shape, expected);
+}
+
 TEST(ServerSessionTest, StatsIncludeCatalogSessionAndPoolLines) {
   SessionHarness h;
   const std::string stats = h.Handle("!stats");
@@ -429,11 +492,19 @@ TEST(ServerSessionTest, BareGraphCommandIsAnError) {
   EXPECT_EQ(h.session->graph_spec(), "chain n=6 label=Knows");
 }
 
-TEST(ServerSessionTest, BaseProtocolStillWorks) {
+TEST(ServerSessionTest, CacheClearUnknownCommandAndQuit) {
   SessionHarness h;
+  h.Handle("MATCH ALL TRAIL p = (?x)-[:Knows+]->(?y)");
+  EXPECT_EQ(h.manager->shared_cache().size(), 1u);
   EXPECT_EQ(h.Handle("!cache clear"), "OK cache cleared\n");
-  const std::string unknown = h.Handle("!frobnicate");
-  EXPECT_EQ(unknown.rfind("ERR ", 0), 0u);
+  EXPECT_EQ(h.manager->shared_cache().size(), 0u);
+  // One command/argument split for every command: a tab separates too.
+  EXPECT_EQ(h.Handle("!cache\tclear"), "OK cache cleared\n");
+  EXPECT_EQ(h.Handle("!frobnicate now"),
+            "ERR Invalid argument: unknown command '!frobnicate now' "
+            "(try !help)\n");
+  EXPECT_EQ(h.Handle("!cache"),
+            "ERR Invalid argument: unknown command '!cache' (try !help)\n");
   std::string out;
   EXPECT_FALSE(h.session->HandleLine("!quit", &out));
   EXPECT_EQ(out, "OK bye\n");

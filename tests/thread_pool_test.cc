@@ -200,20 +200,20 @@ TEST(ThreadPoolTest, ConcurrentCallersSerializeSafely) {
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllRunDetached) {
-  std::atomic<size_t> ran{0};
+  // Tasks count under the lock: the test may return as soon as it sees
+  // 32, and the last task must be done with this frame's m/cv by then.
+  size_t ran = 0;
   std::mutex m;
   std::condition_variable cv;
   for (size_t i = 0; i < 32; ++i) {
     ThreadPool::Shared().Submit([&] {
-      if (ran.fetch_add(1, std::memory_order_relaxed) + 1 == 32) {
-        std::lock_guard<std::mutex> lock(m);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(m);
+      if (++ran == 32) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return ran.load() == 32; }));
+  ASSERT_TRUE(
+      cv.wait_for(lock, std::chrono::seconds(30), [&] { return ran == 32; }));
 }
 
 TEST(ThreadPoolTest, BlockedTasksDoNotStarveRegionsOrOtherTasks) {
@@ -290,6 +290,7 @@ TEST(ThreadPoolTest, RegionsStayParallelWhileTasksHoldWorkers) {
   std::mutex m;
   std::condition_variable cv;
   bool release = false;
+  size_t exited = 0;  // blockers past their last touch of m/cv
   constexpr size_t kBlockers = 4;
   std::atomic<size_t> blocked{0};
   for (size_t i = 0; i < kBlockers; ++i) {
@@ -297,6 +298,8 @@ TEST(ThreadPoolTest, RegionsStayParallelWhileTasksHoldWorkers) {
       blocked.fetch_add(1, std::memory_order_relaxed);
       std::unique_lock<std::mutex> lock(m);
       cv.wait(lock, [&] { return release; });
+      ++exited;
+      cv.notify_all();
     });
   }
   while (blocked.load() < kBlockers) std::this_thread::yield();
@@ -328,11 +331,13 @@ TEST(ThreadPoolTest, RegionsStayParallelWhileTasksHoldWorkers) {
   EXPECT_GE(participants.size(), 2u)
       << "region ran serially while idle workers existed";
 
-  {
-    std::lock_guard<std::mutex> lock(m);
-    release = true;
-  }
+  // Release the blockers and wait until each has left cv.wait: they run on
+  // the shared pool and would otherwise still be touching this frame's
+  // m/cv after the test returns.
+  std::unique_lock<std::mutex> lock(m);
+  release = true;
   cv.notify_all();
+  cv.wait(lock, [&] { return exited == kBlockers; });
 }
 
 TEST(ThreadPoolTest, TasksMayReenterThePoolForRegions) {
